@@ -33,134 +33,19 @@ let record_l2 r =
   Trg_obs.Metrics.add m_l2_evictions r.evictions;
   r
 
+(* The three probe loops below stream packed words ({!Trace.packed}) and
+   decode only the fields they need with the [Event.packed_*]
+   accessors, so they allocate nothing per event. *)
+
 (* Direct-mapped: one tag per line, tag = memory line address. *)
 let simulate_direct addr (config : Config.t) trace =
   let n_lines = Config.n_lines config in
   let line_size = config.line_size in
   let tags = Array.make n_lines (-1) in
   let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / line_size and last = (base + e.len - 1) / line_size in
-      for la = first to last do
-        incr accesses;
-        let idx = la mod n_lines in
-        if tags.(idx) <> la then begin
-          incr misses;
-          if tags.(idx) >= 0 then incr evictions;
-          tags.(idx) <- la
-        end
-      done)
-    trace;
-  {
-    accesses = !accesses;
-    misses = !misses;
-    evictions = !evictions;
-    events = Trace.length trace;
-  }
-
-(* Set-associative with true LRU: each set is a slice of [tags] kept in
-   most-recently-used-first order. *)
-let simulate_assoc addr (config : Config.t) trace =
-  let n_sets = Config.n_sets config in
-  let assoc = config.assoc in
-  let line_size = config.line_size in
-  let tags = Array.make (n_sets * assoc) (-1) in
-  let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / line_size and last = (base + e.len - 1) / line_size in
-      for la = first to last do
-        incr accesses;
-        let set = la mod n_sets in
-        let start = set * assoc in
-        (* Find the way holding [la], if any. *)
-        let way = ref (-1) in
-        (try
-           for w = 0 to assoc - 1 do
-             if tags.(start + w) = la then begin
-               way := w;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        let hit_way =
-          if !way >= 0 then !way
-          else begin
-            incr misses;
-            (* victim: least recently used, at the back *)
-            if tags.(start + assoc - 1) >= 0 then incr evictions;
-            assoc - 1
-          end
-        in
-        (* Move to front. *)
-        for w = hit_way downto 1 do
-          tags.(start + w) <- tags.(start + w - 1)
-        done;
-        tags.(start) <- la
-      done)
-    trace;
-  {
-    accesses = !accesses;
-    misses = !misses;
-    evictions = !evictions;
-    events = Trace.length trace;
-  }
-
-(* Generic policy engine over event-array traces: any {!Policy.kind}
-   through {!Policy.Probe}.  The direct-mapped and true-LRU
-   configurations never come here — they keep the specialised loops
-   above, bit-identical to the pre-policy simulator. *)
-let simulate_policy policy (config : Config.t) addr trace =
-  let probe =
-    Policy.Probe.create policy ~n_sets:(Config.n_sets config) ~assoc:config.assoc
-  in
-  let line_size = config.line_size in
-  let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / line_size and last = (base + e.len - 1) / line_size in
-      for la = first to last do
-        incr accesses;
-        let code = Policy.Probe.access probe la in
-        if not (Policy.Probe.hit code) then begin
-          incr misses;
-          if code >= 0 then incr evictions
-        end
-      done)
-    trace;
-  {
-    accesses = !accesses;
-    misses = !misses;
-    evictions = !evictions;
-    events = Trace.length trace;
-  }
-
-let simulate ?(policy = Policy.Lru) program layout config trace =
-  Policy.validate policy ~assoc:config.Config.assoc;
-  let n = Program.n_procs program in
-  let addr = Array.init n (Layout.address layout) in
-  record
-    (if config.Config.assoc = 1 then simulate_direct addr config trace
-     else
-       match policy with
-       | Policy.Lru -> simulate_assoc addr config trace
-       | p -> simulate_policy p config addr trace)
-
-(* Flat-trace twins of the two probe loops above: identical cache logic,
-   but streaming packed words out of the Bigarray with the [Event.packed_*]
-   accessors, so the hot loop allocates nothing per event. *)
-let simulate_direct_flat addr (config : Config.t) flat =
-  let n_lines = Config.n_lines config in
-  let line_size = config.line_size in
-  let tags = Array.make n_lines (-1) in
-  let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  let n = Trace.Flat.length flat in
+  let n = Trace.length trace in
   for i = 0 to n - 1 do
-    let w = Trace.Flat.get_packed flat i in
+    let w = Trace.packed trace i in
     let base = addr.(Event.packed_proc w) + Event.packed_offset w in
     let first = base / line_size
     and last = (base + Event.packed_len w - 1) / line_size in
@@ -176,15 +61,17 @@ let simulate_direct_flat addr (config : Config.t) flat =
   done;
   { accesses = !accesses; misses = !misses; evictions = !evictions; events = n }
 
-let simulate_assoc_flat addr (config : Config.t) flat =
+(* Set-associative with true LRU: each set is a slice of [tags] kept in
+   most-recently-used-first order. *)
+let simulate_assoc addr (config : Config.t) trace =
   let n_sets = Config.n_sets config in
   let assoc = config.assoc in
   let line_size = config.line_size in
   let tags = Array.make (n_sets * assoc) (-1) in
   let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  let n = Trace.Flat.length flat in
+  let n = Trace.length trace in
   for i = 0 to n - 1 do
-    let word = Trace.Flat.get_packed flat i in
+    let word = Trace.packed trace i in
     let base = addr.(Event.packed_proc word) + Event.packed_offset word in
     let first = base / line_size
     and last = (base + Event.packed_len word - 1) / line_size in
@@ -192,6 +79,7 @@ let simulate_assoc_flat addr (config : Config.t) flat =
       incr accesses;
       let set = la mod n_sets in
       let start = set * assoc in
+      (* Find the way holding [la], if any. *)
       let way = ref (-1) in
       (try
          for w = 0 to assoc - 1 do
@@ -205,10 +93,12 @@ let simulate_assoc_flat addr (config : Config.t) flat =
         if !way >= 0 then !way
         else begin
           incr misses;
+          (* victim: least recently used, at the back *)
           if tags.(start + assoc - 1) >= 0 then incr evictions;
           assoc - 1
         end
       in
+      (* Move to front. *)
       for w = hit_way downto 1 do
         tags.(start + w) <- tags.(start + w - 1)
       done;
@@ -217,16 +107,19 @@ let simulate_assoc_flat addr (config : Config.t) flat =
   done;
   { accesses = !accesses; misses = !misses; evictions = !evictions; events = n }
 
-(* Flat-trace twin of [simulate_policy]. *)
-let simulate_policy_flat policy (config : Config.t) addr flat =
+(* Generic policy engine: any {!Policy.kind} through {!Policy.Probe}.
+   The direct-mapped and true-LRU configurations never come here — they
+   keep the specialised loops above, bit-identical to the pre-policy
+   simulator. *)
+let simulate_policy policy (config : Config.t) addr trace =
   let probe =
     Policy.Probe.create policy ~n_sets:(Config.n_sets config) ~assoc:config.assoc
   in
   let line_size = config.line_size in
   let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
-  let n = Trace.Flat.length flat in
+  let n = Trace.length trace in
   for i = 0 to n - 1 do
-    let w = Trace.Flat.get_packed flat i in
+    let w = Trace.packed trace i in
     let base = addr.(Event.packed_proc w) + Event.packed_offset w in
     let first = base / line_size
     and last = (base + Event.packed_len w - 1) / line_size in
@@ -241,16 +134,18 @@ let simulate_policy_flat policy (config : Config.t) addr flat =
   done;
   { accesses = !accesses; misses = !misses; evictions = !evictions; events = n }
 
-let simulate_flat ?(policy = Policy.Lru) program layout config flat =
+let simulate ?(policy = Policy.Lru) program layout config trace =
   Policy.validate policy ~assoc:config.Config.assoc;
   let n = Program.n_procs program in
   let addr = Array.init n (Layout.address layout) in
   record
-    (if config.Config.assoc = 1 then simulate_direct_flat addr config flat
+    (if config.Config.assoc = 1 then simulate_direct addr config trace
      else
        match policy with
-       | Policy.Lru -> simulate_assoc_flat addr config flat
-       | p -> simulate_policy_flat p config addr flat)
+       | Policy.Lru -> simulate_assoc addr config trace
+       | p -> simulate_policy p config addr trace)
+
+let simulate_flat = simulate
 
 (* Tree-PLRU, now one instance of the policy engine (same direction-bit
    tree it always simulated, shared with {!Policy.Probe}). *)

@@ -37,7 +37,8 @@ val simulate :
     configurations default to true-LRU replacement on the historical
     specialised loop, and any other [policy] runs the generic
     {!Policy.Probe} engine — proven bit-identical to the naive reference
-    models by the policy differential wall.
+    models by the policy differential wall.  All three loops read packed
+    words ({!Trg_trace.Trace.packed}) and allocate nothing per event.
     @raise Invalid_argument for policy/associativity combinations the
     policy cannot express (Tree-PLRU needs power-of-two ways). *)
 
@@ -48,10 +49,8 @@ val simulate_flat :
   Config.t ->
   Trg_trace.Trace.Flat.t ->
   result
-(** Exactly {!simulate} — same probe logic, same [sim/*] telemetry, same
-    counts for equal event sequences — streaming a flat trace with zero
-    per-event allocation.  The repeated-simulation hot path (evaluation
-    runner, benchmarks) should prefer this entry point. *)
+(** {!simulate}.  The alias stays because the benchmark harness
+    ([trgbench/]), which must not change, calls it. *)
 
 val simulate_plru :
   Trg_program.Program.t ->

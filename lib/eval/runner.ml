@@ -13,8 +13,6 @@ type t = {
   workload : Gen.workload;
   train : Trace.t;
   test : Trace.t;
-  train_flat : Trace.Flat.t;
-  test_flat : Trace.Flat.t;
   config : Gbsc.config;
   policy : Trg_cache.Policy.kind;
   prof : Gbsc.profile;
@@ -46,16 +44,12 @@ let prepare ?config ?(policy = Trg_cache.Policy.Lru) ?(force_fail = []) shape =
         stage shape "profile" (fun () -> Gbsc.profile config workload.Gen.program train)
       in
       let wcg = stage shape "wcg" (fun () -> Wcg.build train) in
-      let train_flat = Trace.Flat.of_trace train in
-      let test_flat = Trace.Flat.of_trace test in
       Trg_cache.Policy.validate policy ~assoc:config.Gbsc.cache.Trg_cache.Config.assoc;
       {
         shape;
         workload;
         train;
         test;
-        train_flat;
-        test_flat;
         config;
         policy;
         prof;
@@ -67,18 +61,9 @@ let program t = t.workload.Gen.program
 let miss_rate_on t cache layout trace =
   Sim.miss_rate (Sim.simulate ~policy:t.policy (program t) layout cache trace)
 
-(* The repeated-simulation surface: every experiment scores layouts on
-   the same traces, so these stream the precomputed flat forms.  Counts
-   are identical to [Sim.simulate] on the event-array traces. *)
-let test_miss_rate t layout =
-  Sim.miss_rate
-    (Sim.simulate_flat ~policy:t.policy (program t) layout t.config.Gbsc.cache
-       t.test_flat)
+let test_miss_rate t layout = miss_rate_on t t.config.Gbsc.cache layout t.test
 
-let train_miss_rate t layout =
-  Sim.miss_rate
-    (Sim.simulate_flat ~policy:t.policy (program t) layout t.config.Gbsc.cache
-       t.train_flat)
+let train_miss_rate t layout = miss_rate_on t t.config.Gbsc.cache layout t.train
 
 let default_layout t = Layout.default (program t)
 

@@ -10,9 +10,6 @@ type t = {
   workload : Trg_synth.Gen.workload;
   train : Trg_trace.Trace.t;
   test : Trg_trace.Trace.t;
-  train_flat : Trg_trace.Trace.Flat.t;
-      (** [train] in flat form, precomputed for the simulation hot path *)
-  test_flat : Trg_trace.Trace.Flat.t;
   config : Trg_place.Gbsc.config;
   policy : Trg_cache.Policy.kind;
       (** replacement policy every miss-rate scoring uses *)

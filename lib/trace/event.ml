@@ -6,11 +6,14 @@ let max_proc = 1 lsl 14
 let max_offset = 1 lsl 24
 let max_len = 1 lsl 22
 
+let check_len len =
+  if len <= 0 || len > max_len then invalid_arg "Event.make: len out of range"
+
 let make ~kind ~proc ~offset ~len =
   if proc < 0 || proc >= max_proc then invalid_arg "Event.make: proc out of range";
   if offset < 0 || offset >= max_offset then
     invalid_arg "Event.make: offset out of range";
-  if len <= 0 || len > max_len then invalid_arg "Event.make: len out of range";
+  check_len len;
   { kind; proc; offset; len }
 
 let is_transition t =
@@ -46,13 +49,20 @@ let unpack w =
     kind = kind_of_int ((w lsr 61) land 3);
   }
 
-(* Field extraction without materialising a record — the flat-trace
-   simulation loops stay allocation-free. *)
+(* Field extraction without materialising a record — the simulation
+   loops stay allocation-free. *)
 let packed_len w = w land 0x7FFFFF
 
 let packed_offset w = (w lsr 23) land 0xFFFFFF
 
 let packed_proc w = (w lsr 47) land 0x3FFF
+
+(* [unpack]'s masks keep proc and offset in range, so a word can fail
+   [make (unpack w)] only on its kind bits or its length.  The kinds are
+   constant constructors: nothing here allocates unless it raises. *)
+let check_packed w =
+  ignore (kind_of_int ((w lsr 61) land 3) : kind);
+  check_len (packed_len w)
 
 let pp ppf t =
   Format.fprintf ppf "%c p%d+%d:%d" (kind_to_char t.kind) t.proc t.offset t.len

@@ -38,10 +38,16 @@ val unpack : int -> t
 
 val packed_proc : int -> int
 (** [packed_proc (pack e) = e.proc] without allocating a record — for
-    hot loops over packed representations ({!Trace.Flat}). *)
+    hot loops over packed traces ({!Trace.packed}). *)
 
 val packed_offset : int -> int
 
 val packed_len : int -> int
+
+val check_packed : int -> unit
+(** Raises [Invalid_argument] exactly when [make] would reject the fields
+    of [unpack w], or [unpack] itself would, and with the same message;
+    it builds no record.  The one check a word read from disk needs
+    before it can enter a trace ({!Trace.Builder.add_packed}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,27 +29,30 @@ let text_string trace =
   Buffer.add_string buf (Fault.crc_trailer crc);
   Buffer.contents buf
 
+(* A binary body in one exact-size buffer: the header line, one
+   little-endian word per event, then the CRC-32 of every byte before
+   it. *)
+let words_string header trace =
+  let h = String.length header and n = Trace.length trace in
+  let body = h + (8 * n) in
+  let buf = Bytes.create (body + 4) in
+  Bytes.blit_string header 0 buf 0 h;
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le buf (h + (8 * i)) (Int64.of_int (Trace.packed trace i))
+  done;
+  Bytes.set_int32_le buf body (Int32.of_int (Checksum.bytes buf ~pos:0 ~len:body));
+  Bytes.unsafe_to_string buf
+
 let binary_string trace =
-  let buf = Buffer.create ((8 * Trace.length trace) + 64) in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n" binary_magic version (Trace.length trace));
-  let word = Bytes.create 8 in
-  Trace.iter
-    (fun e ->
-      Bytes.set_int64_le word 0 (Int64.of_int (Event.pack e));
-      Buffer.add_bytes buf word)
-    trace;
-  let crc = Checksum.string (Buffer.contents buf) in
-  Buffer.add_int32_le buf (Int32.of_int crc);
-  Buffer.contents buf
+  words_string
+    (Printf.sprintf "%s %d %d\n" binary_magic version (Trace.length trace))
+    trace
 
 (* v3 header: the same [<magic> <version> <n>] fields, right-padded with
    spaces so the header line (newline included) is 32 bytes — or the
    next multiple of 8 for astronomically large counts.  Space padding is
-   transparent to [Fault.parse_header]'s tokeniser, and the fixed-width,
-   8-aligned header means the payload words of an on-disk v3 file start
-   at an aligned offset: the file can be dropped (mmap-style) straight
-   into a {!Trace.Flat} buffer. *)
+   transparent to [Fault.parse_header]'s tokeniser, and the payload words
+   start at an 8-aligned file offset. *)
 let flat_header n =
   let base = Printf.sprintf "%s %d %d" binary_magic version_flat n in
   let target =
@@ -58,18 +61,7 @@ let flat_header n =
   in
   base ^ String.make (target - String.length base) ' ' ^ "\n"
 
-let flat_string flat =
-  let n = Trace.Flat.length flat in
-  let buf = Buffer.create ((8 * n) + 64) in
-  Buffer.add_string buf (flat_header n);
-  let word = Bytes.create 8 in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le word 0 (Int64.of_int (Trace.Flat.get_packed flat i));
-    Buffer.add_bytes buf word
-  done;
-  let crc = Checksum.string (Buffer.contents buf) in
-  Buffer.add_int32_le buf (Int32.of_int crc);
-  Buffer.contents buf
+let flat_string trace = words_string (flat_header (Trace.length trace)) trace
 
 let write_channel oc trace = output_string oc (text_string trace)
 
@@ -94,46 +86,47 @@ let read_text_body r ~version ~n =
   if version >= 2 then Fault.check_text_trailer r;
   Trace.Builder.build builder
 
-let read_binary_body r ~version ~n =
-  let builder = Trace.Builder.create ~capacity:(initial_capacity n) () in
-  let buf = Bytes.create 8 in
-  for _ = 1 to n do
-    Fault.Reader.block r buf ~len:8 ~what:"binary trace events";
-    let packed = Int64.to_int (Bytes.get_int64_le buf 0) in
-    let e =
-      try
-        let e = Event.unpack packed in
-        Event.make ~kind:e.Event.kind ~proc:e.Event.proc ~offset:e.Event.offset
-          ~len:e.Event.len
+(* Words per decode block: 64 KB. *)
+let block_words = 8192
+
+(* The binary body decoder, every version: [n] little-endian words read
+   in 64 KB blocks, each block folded into the CRC and each word checked
+   by {!Trace.Builder.add_packed} as it is stored, so no [Event.t] is
+   built; v2 and v3 end in the CRC trailer.  The trace is sized from the
+   bytes left in the file when the channel can tell, which a well-formed
+   file makes exactly [n], so the builder hands its buffer over
+   uncopied.  A hostile count sizes no allocation and is never
+   multiplied (8n overflows for n >= 2^59): a block is
+   [min left block_words] words.  A short block still has its whole
+   words checked before the truncation is reported, so faults surface in
+   the order a word-at-a-time reader meets them: a bad word, a truncated
+   body, then the trailer. *)
+let read_words_body r ~what ~trailer ~n =
+  let capacity =
+    match Fault.Reader.remaining r with
+    | Some bytes -> min n (bytes / 8)
+    | None -> initial_capacity n
+  in
+  let builder = Trace.Builder.create ~capacity () in
+  let buf = Bytes.create (8 * min n block_words) in
+  let left = ref n in
+  while !left > 0 do
+    let want = 8 * min !left block_words in
+    let got = Fault.Reader.input r buf ~len:want in
+    for k = 0 to (got / 8) - 1 do
+      let w = Int64.to_int (Bytes.get_int64_le buf (8 * k)) in
+      try Trace.Builder.add_packed builder w
       with Invalid_argument msg ->
-        Fault.fail (Fault.Bad_record ("bad binary event: " ^ msg))
-    in
-    Trace.Builder.add builder e
+        Fault.fail (Fault.Bad_record (Printf.sprintf "bad %s event: %s" what msg))
+    done;
+    if got < want then Fault.fail (Fault.Truncated (what ^ " trace events"));
+    left := !left - (got / 8)
   done;
-  if version >= 2 then Fault.check_binary_trailer r;
+  if trailer then Fault.check_binary_trailer r;
   Trace.Builder.build builder
 
-(* v3 body: byte-identical to v2's (n little-endian 64-bit words plus
-   the binary CRC trailer) read straight into a Flat buffer.  Records
-   are validated as they stream — a bad word surfaces as [Bad_record]
-   before the trailer check, matching the v2 reader's ordering. *)
-let read_flat_body r ~n =
-  let flat = Trace.Flat.create n in
-  let buf = Bytes.create 8 in
-  for i = 0 to n - 1 do
-    Fault.Reader.block r buf ~len:8 ~what:"flat trace events";
-    let packed = Int64.to_int (Bytes.get_int64_le buf 0) in
-    (try ignore (Event.unpack packed : Event.t)
-     with Invalid_argument msg ->
-       Fault.fail (Fault.Bad_record ("bad flat event: " ^ msg)));
-    Trace.Flat.set_packed flat i packed
-  done;
-  Fault.check_binary_trailer r;
-  flat
-
 (* Dispatch on the header's magic word; both formats, every version
-   (the binary magic covers v1/v2 event-array bodies and the v3 flat
-   body alike). *)
+   (the binary magic covers the v1/v2 and v3 bodies alike). *)
 let read_reader r =
   let header = Fault.Reader.line r ~what:"trace header" in
   match Fault.magic_of_line header with
@@ -141,27 +134,11 @@ let read_reader r =
     let version, n =
       Fault.parse_header ~magic:binary_magic ~max_version:version_flat header
     in
-    if version = version_flat then Trace.Flat.to_trace (read_flat_body r ~n)
-    else read_binary_body r ~version ~n
+    let what = if version = version_flat then "flat" else "binary" in
+    read_words_body r ~what ~trailer:(version >= 2) ~n
   | m when m = magic ->
     let version, n = Fault.parse_header ~magic ~max_version:version header in
     read_text_body r ~version ~n
-  | got -> Fault.fail (Fault.Bad_magic { expected = magic; got })
-
-(* Same dispatch, landing in a Flat buffer: v3 is read in place, older
-   formats convert after the normal (validated, checksummed) load. *)
-let read_reader_flat r =
-  let header = Fault.Reader.line r ~what:"trace header" in
-  match Fault.magic_of_line header with
-  | m when m = binary_magic ->
-    let version, n =
-      Fault.parse_header ~magic:binary_magic ~max_version:version_flat header
-    in
-    if version = version_flat then read_flat_body r ~n
-    else Trace.Flat.of_trace (read_binary_body r ~version ~n)
-  | m when m = magic ->
-    let version, n = Fault.parse_header ~magic ~max_version:version header in
-    Trace.Flat.of_trace (read_text_body r ~version ~n)
   | got -> Fault.fail (Fault.Bad_magic { expected = magic; got })
 
 let read_channel ic = Fault.or_fail (fun () -> read_reader (Fault.Reader.of_channel ic))
@@ -182,104 +159,10 @@ let save_result path trace =
 let save_binary_result path trace =
   Fault.result (fun () -> Fault.atomic_write path (binary_string trace))
 
-(* --- mmap fast path for v3 flat files -------------------------------- *)
+let save_flat_result path trace =
+  Fault.result (fun () -> Fault.atomic_write path (flat_string trace))
 
-(* v3's fixed-width 8-aligned header exists exactly so that an on-disk
-   file can be memory-mapped and parsed in place, skipping the channel
-   reader's per-block copies.  The mapped parse reproduces the channel
-   reader's failure surface typed fault for typed fault, in the same
-   order: body truncation, then a bad word, then the trailer.  Anything
-   that is not a well-formed v3 candidate (text files, v1/v2 binaries,
-   unmappable or empty files) returns [None] and the caller falls back
-   to the channel reader, which stays the authority on those paths. *)
-
-let mmap_chunk = 65536 (* bytes per CRC/decode chunk; multiple of 8 *)
-
-let parse_flat_mapped map =
-  let len = Bigarray.Array1.dim map in
-  let limit = min len 256 in
-  let nl = ref (-1) in
-  (try
-     for i = 0 to limit - 1 do
-       if Bigarray.Array1.get map i = '\n' then begin
-         nl := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !nl < 0 then None
-  else
-    let header = String.init !nl (Bigarray.Array1.get map) in
-    if Fault.magic_of_line header <> binary_magic then None
-    else
-      let version, n =
-        Fault.parse_header ~magic:binary_magic ~max_version:version_flat header
-      in
-      if version <> version_flat then None
-      else begin
-        let header_len = !nl + 1 in
-        let body_end = header_len + (8 * n) in
-        if len < body_end then Fault.fail (Fault.Truncated "flat trace events");
-        if len < body_end + 4 then Fault.fail (Fault.Truncated "checksum trailer");
-        let flat = Trace.Flat.create n in
-        let buf = Bytes.create mmap_chunk in
-        (* Header bytes fold into the CRC first, as [Reader.line] does. *)
-        let crc = ref (Checksum.string (header ^ "\n")) in
-        let pos = ref header_len and word = ref 0 in
-        (* [header_len] is 8-aligned and chunks are multiples of 8, so
-           every chunk holds whole words. *)
-        while !pos < body_end do
-          let l = min mmap_chunk (body_end - !pos) in
-          for k = 0 to l - 1 do
-            Bytes.unsafe_set buf k (Bigarray.Array1.unsafe_get map (!pos + k))
-          done;
-          crc := Checksum.bytes ~crc:!crc buf ~pos:0 ~len:l;
-          for w = 0 to (l / 8) - 1 do
-            let packed = Int64.to_int (Bytes.get_int64_le buf (w * 8)) in
-            (try ignore (Event.unpack packed : Event.t)
-             with Invalid_argument msg ->
-               Fault.fail (Fault.Bad_record ("bad flat event: " ^ msg)));
-            Trace.Flat.set_packed flat (!word + w) packed
-          done;
-          word := !word + (l / 8);
-          pos := !pos + l
-        done;
-        let byte k = Char.code (Bigarray.Array1.get map (body_end + k)) in
-        let stored =
-          byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-        in
-        if stored <> !crc then
-          Fault.fail (Fault.Checksum_mismatch { stored; computed = !crc });
-        Some flat
-      end
-
-let with_mapped_file path f =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let g = Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |] in
-      f (Bigarray.array1_of_genarray g))
-
-let load_flat_result path =
-  Fault.result (fun () ->
-      Fault.io_point ~op:("read " ^ path);
-      let mapped =
-        (* mmap setup can fail for reasons a channel handles fine (empty
-           file, exotic filesystem); parse faults inside the mapped body
-           propagate as the typed errors they are. *)
-        match with_mapped_file path parse_flat_mapped with
-        | r -> r
-        | (exception Unix.Unix_error _) | (exception Sys_error _) -> None
-      in
-      match mapped with
-      | Some flat -> flat
-      | None ->
-        In_channel.with_open_bin path (fun ic ->
-            read_reader_flat (Fault.Reader.of_channel ic)))
-
-let save_flat_result path flat =
-  Fault.result (fun () -> Fault.atomic_write path (flat_string flat))
+let load_flat_result = load_result
 
 let unwrap = function Ok v -> v | Error e -> failwith (Fault.to_string e)
 
@@ -289,6 +172,6 @@ let save path trace = unwrap (save_result path trace)
 
 let save_binary path trace = unwrap (save_binary_result path trace)
 
-let load_flat path = unwrap (load_flat_result path)
+let load_flat = load
 
-let save_flat path flat = unwrap (save_flat_result path flat)
+let save_flat path trace = unwrap (save_flat_result path trace)

@@ -45,7 +45,12 @@ val load_result : string -> (Trace.t, Trg_util.Fault.error) result
     event ({!Event.pack}) after a [trgplace-traceb <version> <n>] header
     line — roughly 4x smaller and an order of magnitude faster to parse
     than the text form.  Million-event profile traces are the paper's
-    working medium, so the codec matters. *)
+    working medium, so the codec matters.  Every version, v1 to v3, is
+    read by one chunked decoder: 64 KB channel blocks, the CRC folded
+    per block, each word checked ({!Event.check_packed}) and stored
+    straight into a fresh {!Trace.t} without building an [Event.t].
+    Failures keep the word-at-a-time order: a bad word, then a
+    truncated body, then the trailer. *)
 
 val write_channel_binary : out_channel -> Trace.t -> unit
 
@@ -62,30 +67,25 @@ val save_binary_result : string -> Trace.t -> (unit, Trg_util.Fault.error) resul
     little-endian 64-bit word per event followed by the 4-byte CRC-32
     trailer — but pads its header line with spaces so the line (newline
     included) is exactly 32 bytes (or the next multiple of 8 for
-    astronomically large counts).  The payload therefore starts at an
-    8-aligned file offset and maps verbatim onto a {!Trace.Flat} buffer.
-    {!load} and {!load_result} read v3 files too (converting to the
-    event-array representation); conversely {!load_flat} reads v1/v2
-    binary and text files by converting after the normal validated,
-    checksummed load. *)
+    astronomically large counts), which puts the payload at an 8-aligned
+    file offset.  {!load} reads it with the binary decoder above.
+
+    {!load_flat} and {!load_flat_result} are one-line aliases of {!load}
+    and {!load_result}; they and {!save_flat} keep their names because
+    the benchmark harness ([trgbench/]), which must not change, and some
+    tests call them. *)
 
 val version_flat : int
 (** The flat format version written by {!save_flat} (3). *)
 
-val save_flat : string -> Trace.Flat.t -> unit
-(** [save_flat path flat] atomically writes the v3 flat binary format. *)
+val save_flat : string -> Trace.t -> unit
+(** [save_flat path trace] atomically writes the v3 flat binary format:
+    one exact-size buffer, header, words, then CRC. *)
 
-val save_flat_result : string -> Trace.Flat.t -> (unit, Trg_util.Fault.error) result
+val save_flat_result : string -> Trace.t -> (unit, Trg_util.Fault.error) result
 
-val load_flat : string -> Trace.Flat.t
-(** Loads any format (text v1/v2, binary v1/v2/v3) into a flat buffer.
-    Raises [Failure]. *)
+val load_flat : string -> Trace.t
+(** {!load}. *)
 
-val load_flat_result : string -> (Trace.Flat.t, Trg_util.Fault.error) result
-(** Typed-error flavour of {!load_flat}; same failure surface as
-    {!load_result}.  v3 files are memory-mapped ([Unix.map_file]) and
-    parsed in place — the 8-aligned fixed-width header makes the mapped
-    payload word-aligned — with the channel reader's exact typed-error
-    behaviour on truncated bodies, bad words and checksum mismatches.
-    When mapping is impossible (other formats, empty or unmappable
-    files) the loader transparently falls back to the channel reader. *)
+val load_flat_result : string -> (Trace.t, Trg_util.Fault.error) result
+(** {!load_result}. *)

@@ -1,98 +1,116 @@
-type t = int array (* packed events *)
+open Bigarray
 
-let length = Array.length
+(* Packed events ({!Event.pack}) in a native-int Bigarray: one machine
+   word per event, off the OCaml heap.  Every access below is at this
+   concrete kind and layout, so the compiler emits a plain load or store;
+   a Bigarray access whose kind is left polymorphic compiles to a
+   generic C call that boxes its result. *)
+type t = (int, int_elt, c_layout) Array1.t
 
-let get t i = Event.unpack t.(i)
+let alloc n : t = Array1.create Int C_layout n
 
-let iter f t = Array.iter (fun w -> f (Event.unpack w)) t
+let length (t : t) = Array1.dim t
 
-let iteri f t = Array.iteri (fun i w -> f i (Event.unpack w)) t
+let packed (t : t) i = Array1.get t i
 
-let fold f init t = Array.fold_left (fun acc w -> f acc (Event.unpack w)) init t
+let get t i = Event.unpack (packed t i)
 
-let of_list events = Array.of_list (List.map Event.pack events)
+let iter f (t : t) =
+  for i = 0 to length t - 1 do
+    f (Event.unpack (Array1.unsafe_get t i))
+  done
 
-let of_events events = Array.map Event.pack events
+let iteri f (t : t) =
+  for i = 0 to length t - 1 do
+    f i (Event.unpack (Array1.unsafe_get t i))
+  done
 
-let to_list t = Array.to_list (Array.map Event.unpack t)
+let fold f init (t : t) =
+  let acc = ref init in
+  for i = 0 to length t - 1 do
+    acc := f !acc (Event.unpack (Array1.unsafe_get t i))
+  done;
+  !acc
 
-let concat ts = Array.concat ts
+let of_events events =
+  let t = alloc (Array.length events) in
+  Array.iteri (fun i e -> Array1.unsafe_set t i (Event.pack e)) events;
+  t
 
-let sub t ~pos ~len = Array.sub t pos len
+let of_list events = of_events (Array.of_list events)
+
+let to_list t = List.init (length t) (get t)
+
+let copy (t : t) =
+  let c = alloc (length t) in
+  Array1.blit t c;
+  c
+
+let sub t ~pos ~len = copy (Array1.sub t pos len)
+
+let concat ts =
+  let c = alloc (List.fold_left (fun n t -> n + length t) 0 ts) in
+  ignore
+    (List.fold_left
+       (fun pos t ->
+         Array1.blit t (Array1.sub c pos (length t));
+         pos + length t)
+       0 ts);
+  c
 
 let procs_of t =
   let seen = Hashtbl.create 64 in
-  Array.iter
-    (fun w ->
-      let e = Event.unpack w in
-      if not (Hashtbl.mem seen e.proc) then Hashtbl.add seen e.proc ())
-    t;
+  for i = 0 to length t - 1 do
+    let p = Event.packed_proc (packed t i) in
+    if not (Hashtbl.mem seen p) then Hashtbl.add seen p ()
+  done;
   List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) seen [])
 
-(* Flat traces: the same packed events in an unboxed int32 Bigarray —
-   two little-endian-ordered words per event (low half first) — so the
-   costing and simulation hot loops stream a dense, cache-friendly
-   buffer and the on-disk v3 format can be dropped into memory verbatim.
-   The 63-bit packed word is split losslessly: the low 32 bits wrap into
-   the first int32 (recovered with [land 0xFFFFFFFF]) and the high 31
-   bits — non-negative, since [lsr] is a logical shift — fit the
-   second. *)
 module Flat = struct
-  type trace = t
+  type nonrec t = t
 
-  type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  let length = length
 
-  let create n = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout (2 * n)
+  let of_trace t = t
 
-  let length t = Bigarray.Array1.dim t / 2
+  let to_trace t = t
 
-  let get_packed t i =
-    let lo = Int32.to_int (Bigarray.Array1.get t (2 * i)) land 0xFFFFFFFF in
-    let hi = Int32.to_int (Bigarray.Array1.get t ((2 * i) + 1)) land 0xFFFFFFFF in
-    lo lor (hi lsl 32)
+  let get = get
 
-  let set_packed t i w =
-    Bigarray.Array1.set t (2 * i) (Int32.of_int (w land 0xFFFFFFFF));
-    Bigarray.Array1.set t ((2 * i) + 1) (Int32.of_int (w lsr 32))
+  let get_packed = packed
 
-  let get t i = Event.unpack (get_packed t i)
-
-  let of_trace (tr : trace) =
-    let n = Array.length tr in
-    let f = create n in
-    for i = 0 to n - 1 do
-      set_packed f i tr.(i)
-    done;
-    f
-
-  let to_trace f : trace = Array.init (length f) (get_packed f)
-
-  let iter fn f =
-    for i = 0 to length f - 1 do
-      fn (get f i)
-    done
+  let iter = iter
 end
 
 module Builder = struct
   type trace = t
 
-  type t = { mutable data : int array; mutable size : int }
+  type t = { mutable data : trace; mutable size : int }
 
-  let create ?(capacity = 1024) () = { data = Array.make (max capacity 1) 0; size = 0 }
+  let create ?(capacity = 1024) () = { data = alloc (max capacity 1); size = 0 }
 
-  let add b event =
-    if b.size = Array.length b.data then begin
-      let data = Array.make (2 * Array.length b.data) 0 in
-      Array.blit b.data 0 data 0 b.size;
+  (* Growth always copies into a fresh buffer, so a buffer [build] has
+     handed over is never written again. *)
+  let add_packed b w =
+    Event.check_packed w;
+    if b.size = length b.data then begin
+      let data = alloc (2 * b.size) in
+      Array1.blit b.data (Array1.sub data 0 b.size);
       b.data <- data
     end;
-    b.data.(b.size) <- Event.pack event;
+    Array1.unsafe_set b.data b.size w;
     b.size <- b.size + 1
+
+  let add b event = add_packed b (Event.pack event)
 
   let length b = b.size
 
   let last_proc b =
-    if b.size = 0 then None else Some (Event.unpack b.data.(b.size - 1)).proc
+    if b.size = 0 then None else Some (Event.packed_proc (packed b.data (b.size - 1)))
 
-  let build b = Array.sub b.data 0 b.size
+  (* A full buffer is handed over as the trace itself (the next [add]
+     grows into a copy); a partly filled one is copied down to size, so
+     the trace holds no slack. *)
+  let build b =
+    if b.size = Array1.dim b.data then b.data else copy (Array1.sub b.data 0 b.size)
 end

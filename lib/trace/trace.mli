@@ -1,7 +1,12 @@
 (** A program trace: an immutable, densely packed sequence of events.
 
     Traces of a few million events are routine in the evaluation, so the
-    representation is one OCaml int per event (see {!Event.pack}). *)
+    representation is one machine word per event ({!Event.pack}) in a
+    native-int Bigarray, off the OCaml heap.  It is the only trace
+    representation: the simulator and the binary loader ({!Io}) stream the
+    packed words through {!packed} and the [Event.packed_*] accessors,
+    so no per-event loop allocates.  No public function mutates a
+    trace. *)
 
 type t
 
@@ -9,6 +14,11 @@ val length : t -> int
 
 val get : t -> int -> Event.t
 (** [get t i] for [0 <= i < length t]. *)
+
+val packed : t -> int -> int
+(** [packed t i] is [Event.pack (get t i)] without building the record —
+    pair it with [Event.packed_proc]/[packed_offset]/[packed_len] in
+    allocation-free loops. *)
 
 val iter : (Event.t -> unit) -> t -> unit
 
@@ -25,37 +35,30 @@ val to_list : t -> Event.t list
 val concat : t list -> t
 
 val sub : t -> pos:int -> len:int -> t
+(** A copy of events [pos .. pos + len - 1].  Raises [Invalid_argument]
+    on a bad range. *)
 
 val procs_of : t -> int list
 (** Distinct procedure ids referenced, ascending. *)
 
-(** Flat traces: the same packed events in an unboxed int32 Bigarray (two
-    words per event), the representation the simulation and costing hot
-    loops stream and the one {!Io}'s v3 format stores verbatim.
-    Conversion is lossless in both directions. *)
+(** Aliases of {!t} and its functions, with no code path of their own.
+    They stay because the benchmark harness ([trgbench/]), which must
+    not change, and some tests call them. *)
 module Flat : sig
-  type trace = t
-
-  type t
-
-  val create : int -> t
-  (** Uninitialised storage for [n] events; fill with {!set_packed}. *)
+  type nonrec t = t
 
   val length : t -> int
 
-  val of_trace : trace -> t
+  val of_trace : t -> t
+  (** The identity. *)
 
-  val to_trace : t -> trace
-  (** Inverse of {!of_trace}: [to_trace (of_trace t)] equals [t]. *)
+  val to_trace : t -> t
+  (** The identity. *)
 
   val get : t -> int -> Event.t
 
   val get_packed : t -> int -> int
-  (** The packed word ({!Event.pack}) at index [i] — pair with
-      [Event.packed_proc]/[packed_offset]/[packed_len] for
-      allocation-free loops. *)
-
-  val set_packed : t -> int -> int -> unit
+  (** {!packed}. *)
 
   val iter : (Event.t -> unit) -> t -> unit
 end
@@ -70,6 +73,11 @@ module Builder : sig
 
   val add : t -> Event.t -> unit
 
+  val add_packed : t -> int -> unit
+  (** [add_packed b w] appends the event packed as [w] ({!Event.pack}) —
+      the decoder's allocation-free entry point.  Raises
+      [Invalid_argument] as {!Event.check_packed} does. *)
+
   val length : t -> int
 
   val last_proc : t -> int option
@@ -77,6 +85,9 @@ module Builder : sig
       generators to decide between [Run] and transition kinds. *)
 
   val build : t -> trace
-  (** Freezes the builder.  The builder may keep being used afterwards;
-      [build] copies. *)
+  (** The events added so far.  The builder may keep being used
+      afterwards without changing the built trace.  When the buffer is
+      exactly full, [build] hands it over without copying and the next
+      {!add} grows into a fresh copy; size [capacity] to the final
+      length to get that.  A partly filled buffer is copied to size. *)
 end

@@ -76,10 +76,19 @@ module Reader = struct
       line
     | exception End_of_file -> fail (Truncated what)
 
-  let block t buf ~len ~what =
-    (try really_input t.ic buf 0 len
-     with End_of_file -> fail (Truncated what));
-    t.crc <- Checksum.bytes ~crc:t.crc buf ~pos:0 ~len
+  let input t buf ~len =
+    let rec fill pos =
+      if pos = len then pos
+      else match Stdlib.input t.ic buf pos (len - pos) with 0 -> pos | k -> fill (pos + k)
+    in
+    let got = fill 0 in
+    t.crc <- Checksum.bytes ~crc:t.crc buf ~pos:0 ~len:got;
+    got
+
+  let remaining t =
+    match (In_channel.length t.ic, In_channel.pos t.ic) with
+    | len, pos -> Some (Int64.to_int (Int64.sub len pos))
+    | exception Sys_error _ -> None
 
   let crc t = t.crc
 end

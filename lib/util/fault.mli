@@ -64,9 +64,17 @@ module Reader : sig
   (** Next line, folded into the CRC.  Raises [Error (Truncated what)] at
       end of input. *)
 
-  val block : t -> bytes -> len:int -> what:string -> unit
-  (** Reads exactly [len] raw bytes into the buffer, folded into the CRC.
-      Raises [Error (Truncated what)]. *)
+  val input : t -> bytes -> len:int -> int
+  (** Reads up to [len] raw bytes into the start of the buffer — fewer
+      only at end of input — folds them into the CRC and returns how
+      many it read.  For decoders that must still check the whole
+      records of a short final block before reporting the truncation. *)
+
+  val remaining : t -> int option
+  (** Bytes left between the read position and the end of a regular
+      file; [None] when the channel cannot tell (a pipe, a terminal).
+      Lets a decoder size its output from the file instead of trusting
+      the header's count. *)
 
   val crc : t -> int
   (** Digest of everything consumed so far. *)

@@ -339,10 +339,9 @@ let test_binary_bad_record () =
         [ "Bad_record"; "Checksum_mismatch" ])
 
 (* v3 (flat binary) specifics: the header line is fixed-width (32 bytes,
-   8-aligned, for mmap-friendly payload alignment), the format loads
-   through both the cross-format reader and the flat loader, and a zeroed
-   payload word (len = 0) is a typed [Bad_record] before the trailer is
-   even reached. *)
+   so the payload starts 8-aligned), the format loads through [Io.load]
+   and its [Io.load_flat] alias, and a zeroed payload word (len = 0) is
+   a typed [Bad_record] before the trailer is even reached. *)
 let test_v3_header_fixed_width () =
   with_temp (fun path ->
       Io.save_flat path (Trace.Flat.of_trace sample_trace);
@@ -366,12 +365,11 @@ let test_flat_bad_record () =
         path binary_zero_record
         [ "Bad_record"; "Checksum_mismatch" ])
 
-(* The flat loader parses v3 files through a memory mapping.  A trace
-   bigger than the parser's 64 KB chunk proves the multi-chunk CRC fold
-   and decode, and every truncation point of the mapped body — mid-word,
-   between words, trailer torn, trailer gone — must surface as the same
-   typed [Truncated] the channel reader produces, never a crash or a
-   wrong trace. *)
+(* The v3 decoder reads the body in 64 KB blocks.  A trace bigger than
+   one block proves the multi-block CRC fold and decode, and every
+   truncation point of the body — mid-word, between words, trailer torn,
+   trailer gone — must surface as a typed [Truncated], never a crash or
+   a wrong trace. *)
 let big_flat_trace =
   Trace.of_list
     (List.init 12_000 (fun i ->
@@ -381,7 +379,7 @@ let big_flat_trace =
            (8 * (i mod 50))
            (8 + (i mod 24))))
 
-let test_flat_mmap_roundtrip () =
+let test_flat_chunked_roundtrip () =
   with_temp (fun path ->
       Io.save_flat path (Trace.Flat.of_trace big_flat_trace);
       match Io.load_flat_result path with
@@ -390,9 +388,9 @@ let test_flat_mmap_roundtrip () =
           (Trace.Flat.length f);
         Alcotest.(check bool) "events identical" true
           (Trace.to_list (Trace.Flat.to_trace f) = Trace.to_list big_flat_trace)
-      | Error e -> Alcotest.failf "mmap load failed: %s" (Fault.to_string e))
+      | Error e -> Alcotest.failf "v3 load failed: %s" (Fault.to_string e))
 
-let test_flat_mmap_truncation_matrix () =
+let test_flat_chunked_truncation_matrix () =
   (* Cut points, in bytes removed from the end of the full v3 file. *)
   let cuts =
     [
@@ -408,14 +406,13 @@ let test_flat_mmap_truncation_matrix () =
     (fun (mode, cut, expect) ->
       with_temp (fun path ->
           Io.save_flat path (Trace.Flat.of_trace big_flat_trace);
-          check_corruption ~kind:"flat-mmap" ~mode
+          check_corruption ~kind:"flat-trace" ~mode
             (fun p -> Result.map ignore (Io.load_flat_result p))
             path
             (fun content -> String.sub content 0 (String.length content - cut))
             expect))
     cuts;
-  (* Empty file: mapping is impossible; the channel fallback reports the
-     truncation. *)
+  (* Empty file: the header itself is missing. *)
   with_temp (fun path ->
       write_file path "";
       match Io.load_flat_result path with
@@ -423,20 +420,117 @@ let test_flat_mmap_truncation_matrix () =
       | Error e -> Alcotest.failf "empty file: wrong error %s" (Fault.to_string e)
       | Ok _ -> Alcotest.fail "empty file accepted")
 
-let test_flat_mmap_bit_flip () =
+let test_flat_chunked_bit_flip () =
   with_temp (fun path ->
       Io.save_flat path (Trace.Flat.of_trace big_flat_trace);
       let flip content =
-        (* Damage a byte deep in the second chunk of the mapped body. *)
+        (* Damage a byte deep in the body's second block. *)
         let i = String.index content '\n' + 1 + 70_000 in
         let b = Bytes.of_string content in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
         Bytes.to_string b
       in
-      check_corruption ~kind:"flat-mmap" ~mode:"bit flip"
+      check_corruption ~kind:"flat-trace" ~mode:"bit flip"
         (fun p -> Result.map ignore (Io.load_flat_result p))
         path flip
         [ "Checksum_mismatch"; "Bad_record" ])
+
+(* Faults surface in the order a word-at-a-time reader meets them, even
+   when the bad word and the cut share a block: a word with the unknown
+   kind 3 ahead of the cut is a [Bad_record], one past it is never read,
+   so the cut is a [Truncated]. *)
+let test_flat_fault_order () =
+  let damage ~word ~keep_words content =
+    let body = String.index content '\n' + 1 in
+    let b = Bytes.of_string (String.sub content 0 (body + (8 * keep_words) + 3)) in
+    if word < keep_words then begin
+      let top = body + (8 * word) + 7 in
+      Bytes.set b top (Char.chr (Char.code (Bytes.get b top) lor 0x60))
+    end;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (mode, word, keep_words, expect) ->
+      with_temp (fun path ->
+          Io.save_flat path (Trace.Flat.of_trace big_flat_trace);
+          check_corruption ~kind:"flat-trace" ~mode
+            (fun p -> Result.map ignore (Io.load_result p))
+            path (damage ~word ~keep_words) expect))
+    [
+      ("bad word in the torn block", 9_000, 9_500, [ "Bad_record" ]);
+      ("bad word in a whole block", 100, 9_500, [ "Bad_record" ]);
+      ("cut before the bad word", 9_600, 9_500, [ "Truncated" ]);
+    ]
+
+(* A binary header may claim any count up to [max_int], and the decoder
+   must never turn it into a byte count: 8n wraps to 0 at n = 2^60 (a
+   zero-length read that looped forever) and goes negative at 2^59.
+   Under every binary version a short body is [Truncated], read from a
+   file and from a pipe, whose size the reader cannot ask. *)
+let test_hostile_word_count () =
+  let saved = with_temp (fun path -> Io.save_flat path sample_trace; read_file path) in
+  let body = String.sub saved (String.index saved '\n') (String.length saved - String.index saved '\n') in
+  let via_pipe content =
+    let rd, wr = Unix.pipe () in
+    let oc = Unix.out_channel_of_descr wr in
+    output_string oc content;
+    close_out oc;
+    let ic = Unix.in_channel_of_descr rd in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        match Io.read_channel ic with
+        | _ -> None
+        | exception Failure msg -> Some msg)
+  in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun n ->
+          let content = Printf.sprintf "trgplace-traceb %d %d%s" version n body in
+          let mode = Printf.sprintf "v%d count %d" version n in
+          with_temp (fun path ->
+              write_file path content;
+              match Io.load_result path with
+              | Error (Fault.Truncated _ as e) ->
+                Alcotest.(check (option string)) (mode ^ " via pipe")
+                  (Some (Fault.to_string e)) (via_pipe content)
+              | Error e -> Alcotest.failf "%s: wrong error %s" mode (Fault.to_string e)
+              | Ok _ -> Alcotest.failf "%s: short body accepted" mode))
+        [ 1 lsl 59; 1 lsl 60; max_int ])
+    [ 1; 2; 3 ]
+
+(* v2 and v3 reject the same words: one whose length or kind
+   [Event.make] refuses is a [Bad_record] even under a correct CRC, with
+   the message the word-at-a-time readers gave. *)
+let test_bad_word_every_version () =
+  let rewrite_first_word f content =
+    let b = Bytes.of_string content in
+    let at = String.index content '\n' + 1 in
+    Bytes.set_int64_le b at (Int64.of_int (f (Int64.to_int (Bytes.get_int64_le b at))));
+    let body = Bytes.length b - 4 in
+    Bytes.set_int32_le b body (Int32.of_int (Checksum.bytes b ~pos:0 ~len:body));
+    Bytes.to_string b
+  in
+  let with_len len w = (w land lnot 0x7FFFFF) lor len in
+  List.iter
+    (fun (format, save) ->
+      List.iter
+        (fun (mode, f, reason) ->
+          with_temp (fun path ->
+              save path sample_trace;
+              write_file path (rewrite_first_word f (read_file path));
+              match Io.load_result path with
+              | Error (Fault.Bad_record msg) ->
+                Alcotest.(check string) (format ^ " " ^ mode)
+                  (Printf.sprintf "bad %s event: %s" format reason)
+                  msg
+              | Error e -> Alcotest.failf "%s %s: wrong error %s" format mode (Fault.to_string e)
+              | Ok _ -> Alcotest.failf "%s %s: bad word accepted" format mode))
+        [
+          ("len 0", with_len 0, "Event.make: len out of range");
+          ("len 2^22 + 1", with_len ((1 lsl 22) + 1), "Event.make: len out of range");
+          ("kind 3", (fun w -> w lor (3 lsl 61)), "Event.kind_of_int: 3");
+        ])
+    [ ("binary", Io.save_binary); ("flat", Io.save_flat) ]
 
 (* Regression for the out-of-bounds write in [Serial.read_layout]: an
    unvalidated proc id used to index the address array directly and
@@ -619,9 +713,12 @@ let suite =
     Alcotest.test_case "binary bad record" `Quick test_binary_bad_record;
     Alcotest.test_case "v3 header fixed width" `Quick test_v3_header_fixed_width;
     Alcotest.test_case "v3 flat bad record" `Quick test_flat_bad_record;
-    Alcotest.test_case "v3 mmap roundtrip" `Quick test_flat_mmap_roundtrip;
-    Alcotest.test_case "v3 mmap truncation matrix" `Quick test_flat_mmap_truncation_matrix;
-    Alcotest.test_case "v3 mmap bit flip" `Quick test_flat_mmap_bit_flip;
+    Alcotest.test_case "v3 chunked roundtrip" `Quick test_flat_chunked_roundtrip;
+    Alcotest.test_case "v3 chunked truncation matrix" `Quick test_flat_chunked_truncation_matrix;
+    Alcotest.test_case "v3 chunked bit flip" `Quick test_flat_chunked_bit_flip;
+    Alcotest.test_case "v3 bad word before truncation" `Quick test_flat_fault_order;
+    Alcotest.test_case "hostile word count is truncation" `Quick test_hostile_word_count;
+    Alcotest.test_case "bad word rejected by every version" `Quick test_bad_word_every_version;
     Alcotest.test_case "layout id out of range" `Quick test_layout_id_out_of_range;
     Alcotest.test_case "layout duplicate id" `Quick test_layout_duplicate_id;
     Alcotest.test_case "verify layout structural" `Quick test_verify_layout_structural;

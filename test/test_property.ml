@@ -146,7 +146,7 @@ let prop_simulation_invariant_under_io =
       in
       reference = via_text && reference = via_binary)
 
-(* --- flat (Bigarray) trace representation ------------------------------ *)
+(* --- the packed Bigarray trace representation --------------------------- *)
 
 (* Soak profile hook: [dune runtest --profile soak] multiplies QCheck
    iteration counts via TRGPLACE_QCHECK_FACTOR (see the root dune file). *)
@@ -157,7 +157,7 @@ let scaled n =
 
 (* Arbitrary events across the full packed ranges, including the field
    extremes ([proc < 2^14], [offset < 2^24], [0 < len <= 2^22]) whose
-   packed forms stress the int32 lo/hi split of [Trace.Flat]. *)
+   packed forms set the top bits of the native-int words. *)
 let gen_event =
   QCheck.Gen.(
     let boundary_or_uniform hi =
@@ -195,9 +195,9 @@ let prop_flat_roundtrip =
              && Trace.Flat.get_packed flat i = Event.pack (Trace.get trace i))
            (List.init (Trace.length trace) Fun.id))
 
-(* The flat-backed simulator must be a drop-in for the event-array one:
-   same misses, same accesses, on direct-mapped and set-associative
-   configurations alike. *)
+(* [Trace.Flat] and [Sim.simulate_flat] are aliases of the one
+   representation and simulator now, so this holds by construction; it
+   stays as a guard on the aliases the benchmark harness calls. *)
 let prop_sim_flat_invariant =
   QCheck.Test.make
     ~name:"miss counts invariant under flat-backed simulation"
@@ -212,9 +212,8 @@ let prop_sim_flat_invariant =
       && reference.Sim.accesses = flat.Sim.accesses)
 
 (* Io format v3: a trace saved flat must load identically through both
-   [Io.load] (the cross-format reader) and [Io.load_flat], and v1/v2
-   files must load into flat form unchanged — simulated miss counts are
-   the observable. *)
+   [Io.load] and its [Io.load_flat] alias, and v2 files must load
+   unchanged — simulated miss counts are the observable. *)
 let prop_v3_io_roundtrip =
   QCheck.Test.make
     ~name:"miss counts invariant under Io v3 save/load round-trips"
@@ -235,6 +234,77 @@ let prop_v3_io_roundtrip =
             misses (Trace.Flat.to_trace (Io.load_flat path)))
       in
       via_v3 = (reference, reference) && v2_as_flat = reference)
+
+(* The builder hands a buffer filled to exactly its capacity over as the
+   built trace, without copying, so the next [add] must grow into a fresh
+   buffer rather than write through a trace already handed out.  A
+   random capacity puts the full points at random split points; building
+   after every add crosses each of them and exercises the copying path
+   in between.  Every earlier trace must still hold its own prefix, word
+   for word.  The other constructors must agree with [Event.pack] too. *)
+let packs_agree trace evs =
+  Trace.length trace = List.length evs
+  && List.for_all Fun.id (List.mapi (fun i e -> Trace.packed trace i = Event.pack e) evs)
+
+let prop_builder_handover =
+  QCheck.Test.make ~name:"builder hand-over leaves every built trace unchanged"
+    ~count:(scaled 200)
+    QCheck.(triple arb_events (int_range 1 40) small_nat)
+    (fun (evs, capacity, cut) ->
+      let events = Array.of_list evs in
+      let n = Array.length events in
+      let slice pos len = Array.to_list (Array.sub events pos len) in
+      let b = Trace.Builder.create ~capacity () in
+      let built =
+        List.mapi
+          (fun i e ->
+            Trace.Builder.add b e;
+            (i + 1, Trace.Builder.build b))
+          evs
+      in
+      let whole = Trace.of_list evs in
+      let pos = cut mod (n + 1) in
+      let head = Trace.sub whole ~pos:0 ~len:pos
+      and tail = Trace.sub whole ~pos ~len:(n - pos) in
+      List.for_all (fun (k, t) -> packs_agree t (slice 0 k)) built
+      && packs_agree whole evs
+      && packs_agree (Trace.of_events events) evs
+      && packs_agree tail (slice pos (n - pos))
+      && packs_agree (Trace.concat [ head; tail ]) evs)
+
+(* [Event.check_packed] is the decoder's only check on a word read from
+   disk, so it must reject exactly the words [Event.make (Event.unpack w)]
+   rejects, with the same message.  Words are built field by field so
+   the invalid kind tag 3 and the length edges come up often. *)
+let prop_check_packed_matches_make =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (kind, (proc, (offset, len))) ->
+          len lor (offset lsl 23) lor (proc lsl 47) lor (kind lsl 61))
+        (pair (int_range 0 3)
+           (pair
+              (int_range 0 ((1 lsl 14) - 1))
+              (pair
+                 (int_range 0 ((1 lsl 24) - 1))
+                 (oneof
+                    [
+                      int_range 0 0x7FFFFF;
+                      oneofl [ 0; 1; 1 lsl 22; (1 lsl 22) + 1; 0x7FFFFF ];
+                    ])))))
+  in
+  let reason f = match f () with () -> None | exception Invalid_argument m -> Some m in
+  QCheck.Test.make ~name:"Event.check_packed rejects exactly what make (unpack w) rejects"
+    ~count:(scaled 500)
+    (QCheck.make gen ~print:(Printf.sprintf "%#x"))
+    (fun w ->
+      reason (fun () -> Event.check_packed w)
+      = reason (fun () ->
+            let e = Event.unpack w in
+            ignore
+              (Event.make ~kind:e.Event.kind ~proc:e.Event.proc ~offset:e.Event.offset
+                 ~len:e.Event.len
+                : Event.t)))
 
 (* --- deterministic simulation of the evaluation pool ------------------- *)
 
@@ -307,6 +377,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flat_roundtrip;
     QCheck_alcotest.to_alcotest prop_sim_flat_invariant;
     QCheck_alcotest.to_alcotest prop_v3_io_roundtrip;
+    QCheck_alcotest.to_alcotest prop_builder_handover;
+    QCheck_alcotest.to_alcotest prop_check_packed_matches_make;
     QCheck_alcotest.to_alcotest prop_sim_deterministic;
     QCheck_alcotest.to_alcotest prop_sim_empty_schedule_matches_real;
   ]

@@ -193,10 +193,44 @@ let test_io_binary_truncated () =
            false
          with Failure _ -> true))
 
+(* Words ever allocated on the OCaml heap, metered as the perf suite
+   meters them. *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* The v3 decoder stores each word straight into the trace, whose
+   buffer lives off the heap: loading a 200k-event file allocates no
+   more than the trace itself (a word per event) plus one 64 KB block.
+   Building an [Event.t] per word cost about 20 words an event. *)
+let test_io_load_allocation () =
+  let n = 200_000 in
+  let t =
+    Trace.of_events
+      (Array.init n (fun i ->
+           ev
+             (match i mod 3 with 0 -> Event.Enter | 1 -> Event.Resume | _ -> Event.Run)
+             (i mod 97) (8 * (i mod 64)) (4 + (i mod 60))))
+  in
+  let path = Filename.temp_file "trgplace" ".ftrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.save_flat path t;
+      let before = allocated_words () in
+      let loaded = Io.load path in
+      let words = allocated_words () -. before in
+      Alcotest.(check bool) "same trace" true (loaded = t);
+      let budget = float_of_int (n + (65536 / 8)) in
+      if words > budget then
+        Alcotest.failf "Io.load of %d events allocated %.0f words (budget %.0f)" n
+          words budget)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "io binary roundtrip" `Quick test_io_binary_roundtrip;
       Alcotest.test_case "io binary smaller" `Quick test_io_binary_smaller;
       Alcotest.test_case "io binary truncated" `Quick test_io_binary_truncated;
+      Alcotest.test_case "io v3 load allocation bound" `Quick test_io_load_allocation;
     ]
