@@ -1,12 +1,6 @@
 module Chunk = Trg_program.Chunk
-module Trace = Trg_trace.Trace
-module Event = Trg_trace.Event
 
 let compute chunks trace =
   let counts = Array.make (max 1 (Chunk.total chunks)) 0 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset ~len:e.len (fun c ->
-          counts.(c) <- counts.(c) + 1))
-    trace;
+  Trg.iter_chunks chunks trace (fun c -> counts.(c) <- counts.(c) + 1);
   counts

@@ -33,6 +33,105 @@ let add_edge t u v w =
       attach t v u
   end
 
+module Counts = struct
+  type graph = t
+
+  let create_graph = create
+
+  (* Open addressing with linear probing, at most half full.  [keys]
+     holds packed canonical pairs ([free] when unused) and [slot_edge]
+     each key's index into the dense arrays, which keep every edge's
+     first oriented pair and its count in first-seen order. *)
+  type t = {
+    hint : int;
+    mutable keys : int array;
+    mutable slot_edge : int array;
+    mutable first : int array;
+    mutable count : int array;
+    mutable n : int;
+    mutable bits : int;
+  }
+
+  let free = -1
+
+  let create ?(hint = 256) () =
+    let bits = ref 4 in
+    while 1 lsl !bits < 2 * hint do
+      incr bits
+    done;
+    let dense = max 16 hint in
+    {
+      hint;
+      keys = Array.make (1 lsl !bits) free;
+      slot_edge = Array.make (1 lsl !bits) 0;
+      first = Array.make dense 0;
+      count = Array.make dense 0;
+      n = 0;
+      bits = !bits;
+    }
+
+  (* Fibonacci hashing: the top [bits] bits of the 63-bit product. *)
+  let slot t k = (k * 0x9E3779B97F4A7C1) lsr (63 - t.bits)
+
+  let find_slot t k =
+    let mask = Array.length t.keys - 1 in
+    let s = ref (slot t k) in
+    while t.keys.(!s) <> k && t.keys.(!s) <> free do
+      s := (!s + 1) land mask
+    done;
+    !s
+
+  let rehash t =
+    t.bits <- t.bits + 1;
+    t.keys <- Array.make (1 lsl t.bits) free;
+    t.slot_edge <- Array.make (1 lsl t.bits) 0;
+    for e = 0 to t.n - 1 do
+      let o = t.first.(e) in
+      let k = key (o lsr 24) (o land 0xFFFFFF) in
+      let s = find_slot t k in
+      t.keys.(s) <- k;
+      t.slot_edge.(s) <- e
+    done
+
+  let grow_dense t =
+    let extend a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    t.first <- extend t.first;
+    t.count <- extend t.count
+
+  let add t p q =
+    check p;
+    check q;
+    if p <> q then begin
+      if 2 * (t.n + 1) > Array.length t.keys then rehash t;
+      let k = key p q in
+      let s = find_slot t k in
+      if t.keys.(s) = k then begin
+        let e = t.slot_edge.(s) in
+        t.count.(e) <- t.count.(e) + 1
+      end
+      else begin
+        if t.n = Array.length t.first then grow_dense t;
+        t.keys.(s) <- k;
+        t.slot_edge.(s) <- t.n;
+        t.first.(t.n) <- (p lsl 24) lor q;
+        t.count.(t.n) <- 1;
+        t.n <- t.n + 1
+      end
+    end
+
+  let to_graph t : graph =
+    let g = create_graph ~hint:t.hint () in
+    for e = 0 to t.n - 1 do
+      let o = t.first.(e) in
+      add_edge g (o lsr 24) (o land 0xFFFFFF) (float_of_int t.count.(e))
+    done;
+    g
+end
+
 let set_edge t u v w =
   check u;
   check v;

@@ -21,6 +21,34 @@ val add_edge : t -> int -> int -> float -> unit
     [{u, v}], creating it if absent.  Self-edges ([u = v]) are ignored:
     a block never conflicts with itself. *)
 
+(** Integer edge counts, accumulated without allocation and turned into a
+    graph once: the builder of every count-weighted graph (TRGs, WCGs).
+    An {!add} is one probe of an open-addressing table keyed by the packed
+    canonical pair, where [add_edge g p q 1.] would pay two hash lookups
+    and a boxed float. *)
+module Counts : sig
+  type graph := t
+
+  type t
+
+  val create : ?hint:int -> unit -> t
+  (** [hint] (default 256, as for {!create}) sizes the tables and is
+      passed on to the graph {!to_graph} builds. *)
+
+  val add : t -> int -> int -> unit
+  (** [add t p q] adds 1 to the count of the undirected edge [{p, q}].
+      Ids are checked as by {!add_edge}; self-edges are ignored. *)
+
+  val to_graph : t -> graph
+  (** The graph of the counts so far, built with one
+      [add_edge g p q (float count)] per distinct edge, in the order the
+      edges were first added and with the orientation of each edge's
+      first [add].  Its weight table, adjacency lists and
+      {!iter_edges_unordered} order are exactly those that calling
+      [add_edge g p q 1.] on every [add] would have built.  [t] may keep
+      being added to. *)
+end
+
 val set_edge : t -> int -> int -> float -> unit
 (** Overwrites the weight of [{u, v}] (creates the edge if needed). *)
 

@@ -4,14 +4,10 @@ module Event = Trg_trace.Event
 module Tstats = Trg_trace.Tstats
 
 type t = {
-  program : Program.t;
   chunks : Chunk.t;
-  select_graph : Graph.t;
-  select_q : Qset.t;
-  place_graph : Graph.t;
-  place_q : Qset.t;
-  mutable last_select : int;
-  mutable last_place : int;
+  select : Trg.Stream.t;
+  place : Trg.Stream.t;
+  place_chunk : int -> unit;
   enter_counts : int array;
   ref_counts : int array;
   mutable n_events : int;
@@ -21,15 +17,15 @@ type t = {
 
 let create ~capacity_bytes program chunks =
   let n = Program.n_procs program in
+  let place =
+    Trg.Stream.create ~hint:4096 ~capacity_bytes ~size_of:(Chunk.size_of chunks) ()
+  in
   {
-    program;
     chunks;
-    select_graph = Graph.create ~hint:1024 ();
-    select_q = Qset.create ~capacity_bytes ~size_of:(Program.size program);
-    place_graph = Graph.create ~hint:4096 ();
-    place_q = Qset.create ~capacity_bytes ~size_of:(Chunk.size_of chunks);
-    last_select = -1;
-    last_place = -1;
+    select =
+      Trg.Stream.create ~hint:1024 ~capacity_bytes ~size_of:(Program.size program) ();
+    place;
+    place_chunk = Trg.Stream.reference place;
     enter_counts = Array.make n 0;
     ref_counts = Array.make n 0;
     n_events = 0;
@@ -47,21 +43,9 @@ let observe t (e : Event.t) =
     t.n_transitions <- t.n_transitions + 1
   | Event.Resume -> t.n_transitions <- t.n_transitions + 1
   | Event.Run -> ());
-  (* Procedure-granularity TRG: consecutive duplicates collapse. *)
-  if e.proc <> t.last_select then begin
-    t.last_select <- e.proc;
-    ignore
-      (Qset.reference t.select_q e.proc ~between:(fun q ->
-           Graph.add_edge t.select_graph e.proc q 1.))
-  end;
-  (* Chunk-granularity TRG. *)
-  Chunk.iter_range t.chunks ~proc:e.proc ~offset:e.offset ~len:e.len (fun c ->
-      if c <> t.last_place then begin
-        t.last_place <- c;
-        ignore
-          (Qset.reference t.place_q c ~between:(fun q ->
-               Graph.add_edge t.place_graph c q 1.))
-      end)
+  (* The same two streams the offline builders run, fed as events arrive. *)
+  Trg.Stream.reference t.select e.proc;
+  Chunk.iter_range t.chunks ~proc:e.proc ~offset:e.offset ~len:e.len t.place_chunk
 
 let events_seen t = t.n_events
 
@@ -81,6 +65,6 @@ let finish t =
         ref_counts = Array.copy t.ref_counts;
         bytes_executed = t.bytes;
       };
-    select = { Trg.graph = t.select_graph; qstats = Qset.stats t.select_q };
-    place = { Trg.graph = t.place_graph; qstats = Qset.stats t.place_q };
+    select = Trg.Stream.finish t.select;
+    place = Trg.Stream.finish t.place;
   }

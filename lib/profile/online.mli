@@ -32,5 +32,6 @@ type snapshot = {
 }
 
 val finish : t -> snapshot
-(** Closes the profile.  The profiler may keep being fed afterwards;
-    [finish] snapshots current state (graphs are shared, not copied). *)
+(** Closes the profile: builds both graphs from the edge counts so far.
+    The profiler may keep being fed afterwards; the graphs already
+    returned are not shared with it and do not change. *)

@@ -1,6 +1,4 @@
 module Chunk = Trg_program.Chunk
-module Trace = Trg_trace.Trace
-module Event = Trg_trace.Event
 
 type t = (int, (int, float) Hashtbl.t) Hashtbl.t
 (* p -> packed canonical (r, s) -> weight *)
@@ -80,12 +78,6 @@ let build_stream ~capacity_bytes ~size_of ?(max_between = 64) feed =
   feed emit;
   { db; qstats = Qset.stats q }
 
-let build_place ?(keep = fun _ -> true) ~capacity_bytes ?max_between chunks trace =
-  let feed emit =
-    Trace.iter
-      (fun (e : Event.t) ->
-        if keep e.proc then
-          Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset ~len:e.len emit)
-      trace
-  in
-  build_stream ~capacity_bytes ~size_of:(Chunk.size_of chunks) ?max_between feed
+let build_place ?keep ~capacity_bytes ?max_between chunks trace =
+  build_stream ~capacity_bytes ~size_of:(Chunk.size_of chunks) ?max_between
+    (Trg.iter_chunks ?keep chunks trace)

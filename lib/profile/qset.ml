@@ -1,17 +1,24 @@
-type node = {
-  id : int;
-  mutable prev : node option;
-  mutable next : node option;
-}
+(* An intrusive doubly linked list threaded through arrays indexed by id:
+   [prev.(id)]/[next.(id)] link the members, [size.(id)] caches
+   [size_of id] while [id] is resident.  A reference touches only these
+   arrays, so the per-reference path allocates nothing; the arrays grow
+   (by doubling) to the largest id seen. *)
+
+let nil = -1
+
+(* [prev.(id)] of an id that is not in Q. *)
+let absent = -2
 
 type stats = { avg_entries : float; max_entries : int; steps : int }
 
 type t = {
   capacity_bytes : int;
   size_of : int -> int;
-  index : (int, node) Hashtbl.t;
-  mutable head : node option; (* least recent *)
-  mutable tail : node option; (* most recent *)
+  mutable prev : int array;
+  mutable next : int array;
+  mutable size : int array;
+  mutable head : int; (* least recent, or [nil] *)
+  mutable tail : int; (* most recent, or [nil] *)
   mutable bytes : int;
   mutable count : int;
   mutable sum_len : int;
@@ -24,9 +31,11 @@ let create ~capacity_bytes ~size_of =
   {
     capacity_bytes;
     size_of;
-    index = Hashtbl.create 64;
-    head = None;
-    tail = None;
+    prev = Array.make 64 absent;
+    next = Array.make 64 nil;
+    size = Array.make 64 0;
+    head = nil;
+    tail = nil;
     bytes = 0;
     count = 0;
     sum_len = 0;
@@ -34,34 +43,38 @@ let create ~capacity_bytes ~size_of =
     steps = 0;
   }
 
+let grow t id =
+  let n = max (id + 1) (2 * Array.length t.prev) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.prev <- extend t.prev absent;
+  t.next <- extend t.next nil;
+  t.size <- extend t.size 0
+
 let append t id =
-  let node = { id; prev = t.tail; next = None } in
-  (match t.tail with
-  | Some old -> old.next <- Some node
-  | None -> t.head <- Some node);
-  t.tail <- Some node;
-  Hashtbl.replace t.index id node;
-  t.bytes <- t.bytes + t.size_of id;
+  let size = t.size_of id in
+  t.prev.(id) <- t.tail;
+  t.next.(id) <- nil;
+  if t.tail = nil then t.head <- id else t.next.(t.tail) <- id;
+  t.tail <- id;
+  t.size.(id) <- size;
+  t.bytes <- t.bytes + size;
   t.count <- t.count + 1
 
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  t.bytes <- t.bytes - t.size_of node.id;
+let unlink t id =
+  let p = t.prev.(id) and n = t.next.(id) in
+  if p = nil then t.head <- n else t.next.(p) <- n;
+  if n = nil then t.tail <- p else t.prev.(n) <- p;
+  t.prev.(id) <- absent;
+  t.bytes <- t.bytes - t.size.(id);
   t.count <- t.count - 1
 
 let evict_while_allowed t =
-  let continue = ref true in
-  while !continue do
-    match t.head with
-    | Some oldest when t.count > 1 && t.bytes - t.size_of oldest.id >= t.capacity_bytes ->
-      unlink t oldest;
-      Hashtbl.remove t.index oldest.id
-    | Some _ | None -> continue := false
+  while t.count > 1 && t.bytes - t.size.(t.head) >= t.capacity_bytes do
+    unlink t t.head
   done
 
 let record_step t =
@@ -70,36 +83,33 @@ let record_step t =
   if t.count > t.max_len then t.max_len <- t.count
 
 let reference t p ~between =
+  if p < 0 then invalid_arg "Qset.reference: negative id";
+  if p >= Array.length t.prev then grow t p;
   let result =
-    match Hashtbl.find_opt t.index p with
-    | Some old ->
+    if t.prev.(p) <> absent then begin
       (* Report every id referenced after the previous occurrence of p;
          these become TRG edge increments e_{p,q}. *)
-      let cursor = ref old.next in
-      let continue = ref true in
-      while !continue do
-        match !cursor with
-        | Some n ->
-          between n.id;
-          cursor := n.next
-        | None -> continue := false
+      let cursor = ref t.next.(p) in
+      while !cursor <> nil do
+        between !cursor;
+        cursor := t.next.(!cursor)
       done;
-      unlink t old;
-      (* [index] entry for p is overwritten by [append] below. *)
+      unlink t p;
       append t p;
       true
-    | None ->
+    end
+    else begin
       append t p;
       evict_while_allowed t;
       false
+    end
   in
   record_step t;
   result
 
 let members t =
-  let rec walk acc = function
-    | Some n -> walk (n.id :: acc) n.next
-    | None -> List.rev acc
+  let rec walk acc id =
+    if id = nil then List.rev acc else walk (id :: acc) t.next.(id)
   in
   walk [] t.head
 

@@ -13,7 +13,12 @@
       the old occurrence is removed, and [p] is appended at the
       most-recent end;
     - otherwise [p] is appended and the oldest members are evicted while the
-      bound allows. *)
+      bound allows.
+
+    Ids must be non-negative.  Q is a doubly linked list threaded through
+    arrays indexed by id, so a reference allocates nothing; the arrays are
+    sized to the largest id seen, so memory is O(largest id), not
+    O(population). *)
 
 type t
 
@@ -32,7 +37,8 @@ val reference : t -> int -> between:(int -> unit) -> bool
 (** [reference t p ~between] processes the next trace reference.  Returns
     [true] iff a previous occurrence of [p] was present, in which case
     [between] has been called once for each distinct id between the two
-    occurrences of [p], in trace order. *)
+    occurrences of [p], in trace order.  Raises [Invalid_argument] if
+    [p < 0]. *)
 
 val members : t -> int list
 (** Current contents, least recent first. *)

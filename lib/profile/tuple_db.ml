@@ -1,6 +1,4 @@
 module Chunk = Trg_program.Chunk
-module Trace = Trg_trace.Trace
-module Event = Trg_trace.Event
 
 type t = {
   arity : int;
@@ -97,14 +95,6 @@ let build_stream ~arity ~capacity_bytes ~size_of ?max_between feed =
   feed emit;
   { db; qstats = Qset.stats q }
 
-let build_place ?(keep = fun _ -> true) ~arity ~capacity_bytes ?max_between chunks
-    trace =
-  let feed emit =
-    Trace.iter
-      (fun (e : Event.t) ->
-        if keep e.proc then
-          Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset ~len:e.len emit)
-      trace
-  in
+let build_place ?keep ~arity ~capacity_bytes ?max_between chunks trace =
   build_stream ~arity ~capacity_bytes ~size_of:(Chunk.size_of chunks) ?max_between
-    feed
+    (Trg.iter_chunks ?keep chunks trace)

@@ -57,11 +57,13 @@ let packed_offset w = (w lsr 23) land 0xFFFFFF
 
 let packed_proc w = (w lsr 47) land 0x3FFF
 
+let packed_kind w = kind_of_int ((w lsr 61) land 3)
+
 (* [unpack]'s masks keep proc and offset in range, so a word can fail
    [make (unpack w)] only on its kind bits or its length.  The kinds are
    constant constructors: nothing here allocates unless it raises. *)
 let check_packed w =
-  ignore (kind_of_int ((w lsr 61) land 3) : kind);
+  ignore (packed_kind w : kind);
   check_len (packed_len w)
 
 let pp ppf t =

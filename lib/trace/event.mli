@@ -44,6 +44,11 @@ val packed_offset : int -> int
 
 val packed_len : int -> int
 
+val packed_kind : int -> kind
+(** The kinds are constant constructors, so this allocates nothing.
+    Raises [Invalid_argument] on kind bits 3, which no word of a
+    {!Trace.t} has. *)
+
 val check_packed : int -> unit
 (** Raises [Invalid_argument] exactly when [make] would reject the fields
     of [unpack w], or [unpack] itself would, and with the same message;

@@ -12,19 +12,20 @@ let compute ~n_procs trace =
   let ref_counts = Array.make n_procs 0 in
   let n_transitions = ref 0 in
   let bytes = ref 0 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      if e.proc >= n_procs then
-        invalid_arg (Printf.sprintf "Tstats.compute: proc %d out of range" e.proc);
-      ref_counts.(e.proc) <- ref_counts.(e.proc) + 1;
-      bytes := !bytes + e.len;
-      match e.kind with
-      | Event.Enter ->
-        enter_counts.(e.proc) <- enter_counts.(e.proc) + 1;
-        incr n_transitions
-      | Event.Resume -> incr n_transitions
-      | Event.Run -> ())
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    let w = Trace.packed trace i in
+    let proc = Event.packed_proc w in
+    if proc >= n_procs then
+      invalid_arg (Printf.sprintf "Tstats.compute: proc %d out of range" proc);
+    ref_counts.(proc) <- ref_counts.(proc) + 1;
+    bytes := !bytes + Event.packed_len w;
+    match Event.packed_kind w with
+    | Event.Enter ->
+      enter_counts.(proc) <- enter_counts.(proc) + 1;
+      incr n_transitions
+    | Event.Resume -> incr n_transitions
+    | Event.Run -> ()
+  done;
   let n_procs_referenced =
     Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 ref_counts
   in

@@ -1,4 +1,6 @@
-(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed by
+    slicing-by-8: eight bytes per step through eight 256-entry tables,
+    the last [len mod 8] bytes one at a time.  Nothing allocates.
 
     Used as the integrity trailer of every v2 on-disk artifact (traces,
     programs, layouts).  Digests are plain non-negative OCaml [int]s
@@ -13,7 +15,7 @@ val empty : int
 
 val string : ?crc:int -> string -> int
 (** [string ?crc s] extends the digest [crc] (default {!empty}) with the
-    bytes of [s]. *)
+    bytes of [s].  [crc] is read modulo 2^32. *)
 
 val substring : ?crc:int -> string -> pos:int -> len:int -> int
 (** Digest of a slice.  Raises [Invalid_argument] on a bad range. *)

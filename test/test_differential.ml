@@ -74,22 +74,96 @@ module Ref_q = struct
     end
 end
 
+(* Id streams over a random universe of ids below 5001: sparse enough to
+   grow Q's id-indexed arrays, dense enough to re-reference. *)
+let gen_id_stream ~universe ~max_len =
+  QCheck.Gen.(
+    pair (array_size (int_range 1 universe) (int_range 0 5000)) (int_range 0 max_len)
+    >>= fun (universe, n) ->
+    list_repeat n (map (fun i -> universe.(i)) (int_bound (Array.length universe - 1))))
+
+(* Q statistics of a reference run, from the population after each step. *)
+let ref_stats populations =
+  let steps = List.length populations in
+  {
+    Qset.avg_entries =
+      (if steps = 0 then 0.
+       else float_of_int (List.fold_left ( + ) 0 populations) /. float_of_int steps);
+    max_entries = List.fold_left max 0 populations;
+    steps;
+  }
+
 let prop_qset_matches_reference =
   QCheck.Test.make ~name:"Qset matches list reference on random streams" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 15))
+    (QCheck.make (gen_id_stream ~universe:40 ~max_len:200) ~print:QCheck.Print.(list int))
     (fun refs ->
       let size_of p = 16 + (8 * (p mod 5)) in
       let q = Qset.create ~capacity_bytes:200 ~size_of in
       let r = Ref_q.create 200 size_of in
+      let populations = ref [] in
       List.for_all
         (fun p ->
           let between = ref [] in
           let prior = Qset.reference q p ~between:(fun x -> between := x :: !between) in
           let prior', between' = Ref_q.reference r p in
+          populations := List.length r.Ref_q.q :: !populations;
           prior = prior'
           && List.rev !between = between'
-          && Qset.members q = r.Ref_q.q)
-        refs)
+          && Qset.members q = r.Ref_q.q
+          && Qset.total_bytes q = Ref_q.total r)
+        refs
+      && Qset.stats q = ref_stats (List.rev !populations))
+
+(* --- Trg.build_stream vs a list Q with one add_edge per increment ------- *)
+
+(* The reference builder: [Ref_q] for Q and [Graph.add_edge g p q 1.] on
+   every edge increment, into a graph with [build_stream]'s hint.  The
+   production builder counts increments and builds the graph once, so its
+   graph must match this one down to adjacency-list and hash-table order.
+   Up to 100 distinct ids give up to 4950 edges, past the count table's
+   first growth. *)
+let reference_trg ~capacity ~size_of ids =
+  let g = Graph.create ~hint:1024 () in
+  let q = Ref_q.create capacity size_of in
+  let last = ref (-1) and populations = ref [] in
+  List.iter
+    (fun p ->
+      if p <> !last then begin
+        last := p;
+        let _, between = Ref_q.reference q p in
+        List.iter (fun x -> Graph.add_edge g p x 1.) between;
+        populations := List.length q.Ref_q.q :: !populations
+      end)
+    ids;
+  (g, ref_stats (List.rev !populations))
+
+(* Everything a consumer can observe of a graph, including the orders the
+   interface leaves unspecified. *)
+let graph_view g =
+  let unordered = ref [] in
+  Graph.iter_edges_unordered (fun u v w -> unordered := (u, v, w) :: !unordered) g;
+  ( Graph.edges g,
+    Graph.nodes g,
+    List.map (fun u -> (u, Graph.neighbors g u)) (Graph.nodes g),
+    List.rev !unordered )
+
+let prop_trg_stream_matches_reference =
+  QCheck.Test.make ~name:"Trg.build_stream matches per-increment reference"
+    ~count:(scaled 200)
+    (QCheck.make
+       QCheck.Gen.(
+         triple (gen_id_stream ~universe:100 ~max_len:800) (int_range 32 4096)
+           (int_range 1 255))
+       ~print:(fun (ids, capacity, salt) ->
+         Printf.sprintf "capacity %d, salt %d, ids %s" capacity salt
+           (QCheck.Print.(list int) ids)))
+    (fun (ids, capacity, salt) ->
+      let size_of p = 1 + ((p * salt) mod 97) in
+      let built =
+        Trg.build_stream ~capacity_bytes:capacity ~size_of (fun emit -> List.iter emit ids)
+      in
+      let graph, qstats = reference_trg ~capacity ~size_of ids in
+      graph_view built.Trg.graph = graph_view graph && built.Trg.qstats = qstats)
 
 (* --- Merge driver vs a rescan-everything reference ----------------------- *)
 
@@ -469,6 +543,7 @@ let test_incr_work_reduction () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
+    QCheck_alcotest.to_alcotest prop_trg_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;
     QCheck_alcotest.to_alcotest prop_reuse_matches_reference;

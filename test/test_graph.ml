@@ -80,6 +80,54 @@ let test_id_range_check () =
        false
      with Invalid_argument _ -> true)
 
+(* --- Counts ------------------------------------------------------------ *)
+
+let graph_view g =
+  let unordered = ref [] in
+  Graph.iter_edges_unordered (fun u v w -> unordered := (u, v, w) :: !unordered) g;
+  ( Graph.edges g,
+    List.map (fun u -> (u, Graph.neighbors g u)) (Graph.nodes g),
+    List.rev !unordered )
+
+(* A tiny hint makes the count table and its first-seen arrays grow many
+   times; the graph must still be the one [add_edge _ _ 1.] per increment
+   builds, self-edges included (both ignore them). *)
+let prop_counts_match_add_edge =
+  QCheck.Test.make ~name:"Counts graph = add_edge per increment" ~count:200
+    QCheck.(
+      pair (int_range 1 64)
+        (list_of_size (Gen.int_range 0 3000) (pair (int_range 0 300) (int_range 0 300))))
+    (fun (hint, pairs) ->
+      let counts = Graph.Counts.create ~hint () in
+      let g = Graph.create ~hint () in
+      List.iter
+        (fun (p, q) ->
+          Graph.Counts.add counts p q;
+          Graph.add_edge g p q 1.)
+        pairs;
+      graph_view (Graph.Counts.to_graph counts) = graph_view g)
+
+let test_counts_id_range_and_snapshots () =
+  let c = Graph.Counts.create () in
+  let rejects p q =
+    match Graph.Counts.add c p q with
+    | () -> Alcotest.failf "Counts.add %d %d accepted" p q
+    | exception Invalid_argument msg -> msg
+  in
+  (* An id of 2^24 would otherwise pack onto the key of a valid pair. *)
+  Alcotest.(check string) "id 2^24" "Graph: node id 16777216 out of range"
+    (rejects 0 Graph.max_id);
+  Alcotest.(check string) "negative id" "Graph: node id -1 out of range" (rejects (-1) 2);
+  Graph.Counts.add c 1 2;
+  let first = Graph.Counts.to_graph c in
+  Graph.Counts.add c 2 1;
+  Graph.Counts.add c 2 3;
+  Alcotest.(check int) "snapshot unchanged" 1 (Graph.n_edges first);
+  Alcotest.(check (float 0.)) "snapshot weight" 1. (Graph.weight first 1 2);
+  let second = Graph.Counts.to_graph c in
+  Alcotest.(check (float 0.)) "counts continue" 2. (Graph.weight second 1 2);
+  Alcotest.(check int) "new edge" 2 (Graph.n_edges second)
+
 let prop_weight_symmetric =
   QCheck.Test.make ~name:"graph weight symmetric" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 40) (triple (int_range 0 20) (int_range 0 20) (float_range 0.1 10.)))
@@ -101,4 +149,7 @@ let suite =
     Alcotest.test_case "filter_nodes" `Quick test_filter_nodes;
     Alcotest.test_case "id range check" `Quick test_id_range_check;
     QCheck_alcotest.to_alcotest prop_weight_symmetric;
+    QCheck_alcotest.to_alcotest prop_counts_match_add_edge;
+    Alcotest.test_case "Counts id range and snapshots" `Quick
+      test_counts_id_range_and_snapshots;
   ]

@@ -62,6 +62,60 @@ let test_crc_hex_roundtrip () =
   Alcotest.(check (option int)) "bad width" None (Checksum.of_hex "abc");
   Alcotest.(check (option int)) "not hex" None (Checksum.of_hex "zzzzzzzz")
 
+(* The byte-at-a-time CRC-32 that slicing-by-8 replaced, kept as the
+   reference: one table lookup per byte. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done;
+      !c)
+
+let reference_crc ?(crc = 0) s ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := (!c lsr 8) lxor crc_table.((!c lxor Char.code s.[i]) land 0xFF)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let gen_crc = QCheck.Gen.int_bound 0xFFFFFFFF
+
+(* Every slice length 0-64 at every start 0-7: each tail length and each
+   alignment of the 8-byte steps. *)
+let prop_crc_short_slices =
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte loop, every short slice"
+    ~count:50
+    (QCheck.make
+       QCheck.Gen.(pair (string_size (return 72)) gen_crc)
+       ~print:QCheck.Print.(pair string int))
+    (fun (s, crc) ->
+      List.for_all
+        (fun pos ->
+          List.for_all
+            (fun len ->
+              Checksum.substring ~crc s ~pos ~len = reference_crc ~crc s ~pos ~len)
+            (List.init 65 Fun.id))
+        (List.init 8 Fun.id))
+
+(* Long strings, and a digest chained through a random split point. *)
+let prop_crc_long_and_chained =
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte loop, long and chained"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(triple (string_size (int_range 0 5000)) gen_crc (int_bound 5000))
+       ~print:(fun (s, crc, k) ->
+         Printf.sprintf "length %d, crc %d, split %d" (String.length s) crc k))
+    (fun (s, crc, k) ->
+      let n = String.length s in
+      let k = min k n in
+      let whole = reference_crc ~crc s ~pos:0 ~len:n in
+      Checksum.string ~crc s = whole
+      && Checksum.substring
+           ~crc:(Checksum.substring ~crc s ~pos:0 ~len:k)
+           s ~pos:k ~len:(n - k)
+         = whole)
+
 (* --- round-trips ----------------------------------------------------- *)
 
 let test_text_trace_roundtrip () =
@@ -700,6 +754,8 @@ let suite =
     Alcotest.test_case "crc32 check vector" `Quick test_crc_vector;
     Alcotest.test_case "crc32 chaining" `Quick test_crc_chaining;
     Alcotest.test_case "crc32 hex roundtrip" `Quick test_crc_hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_crc_short_slices;
+    QCheck_alcotest.to_alcotest prop_crc_long_and_chained;
     Alcotest.test_case "v2 text trace roundtrip" `Quick test_text_trace_roundtrip;
     Alcotest.test_case "v2 binary trace roundtrip" `Quick test_binary_trace_roundtrip;
     Alcotest.test_case "v2 program roundtrip" `Quick test_program_roundtrip;

@@ -9,6 +9,10 @@ module Tstats = Trg_trace.Tstats
 module Trace = Trg_trace.Trace
 module Event = Trg_trace.Event
 module Prng = Trg_util.Prng
+module Gbsc = Trg_place.Gbsc
+module Bench = Trg_synth.Bench
+module Gen = Trg_synth.Gen
+module Shape = Trg_synth.Shape
 
 let m = Toy.m and x = Toy.x and y = Toy.y and z = Toy.z
 
@@ -269,6 +273,33 @@ let prop_perturb_preserves_structure =
            (fun (u, v) -> u = v || Graph.mem_edge g' u v)
            pairs)
 
+(* --- Allocation ------------------------------------------------------ *)
+
+(* The profile layer walks packed words, keeps Q in id-indexed int arrays
+   and counts edges in an int table, so the only per-edge minor
+   allocation of [Gbsc.profile] is the final graphs (about 16 words an
+   edge), and nothing is allocated per event or per edge increment.  The
+   second call is measured, so lazy tables are already forced. *)
+let test_profile_allocation_bound () =
+  List.iter
+    (fun (shape : Shape.t) ->
+      let w = Gen.generate shape in
+      let full = Gen.train_trace w in
+      let trace = Trace.sub full ~pos:0 ~len:(min 200_000 (Trace.length full)) in
+      let config = Gbsc.default_config () in
+      ignore (Gbsc.profile config w.Gen.program trace : Gbsc.profile);
+      let before = Gc.minor_words () in
+      let p = Gbsc.profile config w.Gen.program trace in
+      let words = Gc.minor_words () -. before in
+      let edges =
+        Graph.n_edges p.Gbsc.select.Trg.graph + Graph.n_edges p.Gbsc.place.Trg.graph
+      in
+      let budget = float_of_int ((32 * edges) + 16384) in
+      if words > budget then
+        Alcotest.failf "%s: Gbsc.profile allocated %.0f minor words (budget %.0f, %d edges)"
+          shape.Shape.name words budget edges)
+    (Bench.small :: Bench.all)
+
 let suite =
   [
     Alcotest.test_case "WCG counts calls+returns" `Quick test_wcg_counts_calls_and_returns;
@@ -299,4 +330,5 @@ let suite =
     Alcotest.test_case "perturb deterministic" `Quick test_perturb_deterministic;
     Alcotest.test_case "perturb pair db" `Quick test_perturb_pair_db;
     QCheck_alcotest.to_alcotest prop_perturb_preserves_structure;
+    Alcotest.test_case "Gbsc.profile allocation bound" `Quick test_profile_allocation_bound;
   ]
