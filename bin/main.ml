@@ -108,22 +108,32 @@ let resolve_cpus = function
 
 let options_term =
   let runs =
-    let doc = "Number of perturbed placements per algorithm (Figure 5)." in
-    Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N" ~doc)
+    let doc =
+      "Number of perturbed placements per algorithm (Figure 5).  Defaults \
+       to 40, or 8 with $(b,--quick)."
+    in
+    Arg.(value & opt (some int) None & info [ "runs" ] ~docv:"N" ~doc)
   in
   let points =
-    let doc = "Number of randomized layouts (Figure 6)." in
-    Arg.(value & opt int 80 & info [ "points" ] ~docv:"N" ~doc)
+    let doc =
+      "Number of randomized layouts (Figure 6).  Defaults to 80, or 20 \
+       with $(b,--quick)."
+    in
+    Arg.(value & opt (some int) None & info [ "points" ] ~docv:"N" ~doc)
   in
   let benches =
     let doc =
       "Benchmarks to evaluate (repeatable).  Defaults to the six Table 1 \
-       workloads."
+       workloads, or $(b,small) with $(b,--quick)."
     in
     Arg.(value & opt_all string [] & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
   in
   let quick =
-    let doc = "Quick mode: the small workload with few runs." in
+    let doc =
+      "Quick mode: the small workload with few runs and points.  Sets only \
+       defaults: $(b,--bench), $(b,--runs) and $(b,--points) given \
+       explicitly still apply."
+    in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
   let full_output =
@@ -193,37 +203,20 @@ let options_term =
       Log.err (fun m -> m "--retries must be non-negative (got %d)" retries);
       exit 2
     end;
-    if quick then
-      {
-        Trg_eval.Report.quick_options with
-        Trg_eval.Report.print_cdf = full_output;
-        print_points = full_output;
-        keep_going;
-        force_fail;
-        jobs;
-        timeout;
-        retries;
-        policy;
-        cpus;
-      }
-    else
-      let selected =
-        match benches with [] -> Trg_synth.Bench.all | names -> shapes_of_names names
-      in
-      {
-        Trg_eval.Report.runs;
-        fig6_points = points;
-        benches = selected;
-        print_cdf = full_output;
-        print_points = full_output;
-        keep_going;
-        force_fail;
-        jobs;
-        timeout;
-        retries;
-        policy;
-        cpus;
-      }
+    {
+      (Trg_eval.Report.resolve_options ~quick ~runs ~points
+         ~benches:(shapes_of_names benches))
+      with
+      Trg_eval.Report.print_cdf = full_output;
+      print_points = full_output;
+      keep_going;
+      force_fail;
+      jobs;
+      timeout;
+      retries;
+      policy;
+      cpus;
+    }
   in
   Term.(
     const make $ verbose_term $ profile_term $ runs $ points $ benches $ quick

@@ -27,9 +27,14 @@
    Exactness: profile weights are event counts, i.e. integral floats.
    Sums of integral floats are exact (far below 2^53), so the composed
    arrays are bit-identical to from-scratch recomputation and the argmin
-   (hence the layout) cannot drift.  Any non-integral charge poisons
-   that guarantee; {!charge} records it and callers are expected to fall
-   back to the full evaluator when {!exact} is false. *)
+   (hence the layout) cannot drift.  The seeder ({!Trg_place.Cost})
+   checks every edge weight before it seeds, and falls back to the full
+   evaluator when one is not integral.
+
+   Layout: the union-find is an id-indexed [int array], and each group
+   root owns an int-keyed map from its neighbour roots to the pair array
+   that both ends share.  No cell loop divides: every modular index walk
+   below is split into two contiguous ranges. *)
 
 module Metrics = Trg_obs.Metrics
 
@@ -52,117 +57,149 @@ let h_charge_us =
 let h_apply_us =
   lazy (Metrics.histogram ~limits:Trg_obs.Prof.us_limits "prof/incr/apply_us")
 
+(* Neighbour maps: int keys, hashed as themselves. *)
+module Imap = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type t = {
   n_sets : int;
-  parent : (int, int) Hashtbl.t;  (* union-find over group ids *)
-  pairs : (int * int, float array) Hashtbl.t;
-      (* canonical (min root, max root) -> D array, oriented min-to-max *)
-  adj : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* root -> neighbour roots *)
-  mutable exact : bool;
+  mutable parent : int array;
+      (* union-find over group ids: [-1] marks a root; ids past the end
+         are singleton roots *)
+  mutable nbrs : float array Imap.t array;
+      (* root -> neighbour root -> the pair array both ends share *)
   mutable frozen : bool;
 }
 
+(* Shared by every root without neighbours; never written. *)
+let no_nbrs : float array Imap.t = Imap.create 1
+
 let create ~n_sets =
   if n_sets <= 0 then invalid_arg "Incr.create: n_sets must be positive";
-  {
-    n_sets;
-    parent = Hashtbl.create 256;
-    pairs = Hashtbl.create 1024;
-    adj = Hashtbl.create 256;
-    exact = true;
-    frozen = false;
-  }
+  { n_sets; parent = [||]; nbrs = [||]; frozen = false }
 
 let n_sets t = t.n_sets
 
-let exact t = t.exact
+let check_id id = if id < 0 then invalid_arg "Incr: negative group id"
 
-let register t p = if not (Hashtbl.mem t.parent p) then Hashtbl.replace t.parent p p
+let reserve t id =
+  let n = Array.length t.parent in
+  if id >= n then begin
+    let m = max (id + 1) (2 * n) in
+    let extend a fill =
+      let b = Array.make m fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.parent <- extend t.parent (-1);
+    t.nbrs <- extend t.nbrs no_nbrs
+  end
 
 (* Path-compressing find; ids never seen before are singleton groups. *)
 let rec find t p =
-  match Hashtbl.find_opt t.parent p with
-  | None ->
-    Hashtbl.replace t.parent p p;
-    p
-  | Some q when q = p -> p
-  | Some q ->
-    let root = find t q in
-    Hashtbl.replace t.parent p root;
-    root
+  check_id p;
+  if p >= Array.length t.parent then p
+  else
+    let q = t.parent.(p) in
+    if q < 0 then p
+    else begin
+      let root = find t q in
+      t.parent.(p) <- root;
+      root
+    end
 
-let key a b = if a < b then (a, b) else (b, a)
+let nbrs t root = if root < Array.length t.nbrs then t.nbrs.(root) else no_nbrs
 
-(* The stored array at key (a, b), a < b, is D_{a,b}: entry i is the
-   weight charged when b sits i sets after a. *)
-let reversed c d = Array.init c (fun i -> d.((c - i) mod c))
+(* A new pair array, zeroed and entered in both ends' maps. *)
+let link t a b =
+  let d = Array.make t.n_sets 0. in
+  let writable root =
+    reserve t root;
+    if t.nbrs.(root) == no_nbrs then t.nbrs.(root) <- Imap.create 8;
+    t.nbrs.(root)
+  in
+  Imap.replace (writable a) b d;
+  Imap.replace (writable b) a d;
+  d
 
-let adj_of t p =
-  match Hashtbl.find_opt t.adj p with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 8 in
-    Hashtbl.replace t.adj p h;
-    h
+(* The pair array of roots [a] and [b], created zeroed when absent. *)
+let pair t a b =
+  match Imap.find (nbrs t a) b with d -> d | exception Not_found -> link t a b
 
-let pair_array t p1 p2 =
-  let k = key p1 p2 in
-  match Hashtbl.find_opt t.pairs k with
-  | Some d -> d
-  | None ->
-    let d = Array.make t.n_sets 0. in
-    Hashtbl.replace t.pairs k d;
-    Hashtbl.replace (adj_of t p1) p2 ();
-    Hashtbl.replace (adj_of t p2) p1 ();
-    Metrics.incr m_seeded_pairs;
-    d
-
-let charge t ~p1 ~p2 ~index w =
-  if t.frozen then invalid_arg "Incr.charge: engine is frozen";
-  if index < 0 || index >= t.n_sets then
-    invalid_arg "Incr.charge: index out of range";
-  (* Intra-group conflicts do not change with the offset (Section 4.2,
-     note 2), exactly as the full evaluator never charges them. *)
-  if p1 <> p2 && w <> 0. then begin
-    if not (Float.is_integer w) then t.exact <- false;
-    register t p1;
-    register t p2;
-    let d = pair_array t p1 p2 in
-    let i = if p1 < p2 then index else (t.n_sets - index) mod t.n_sets in
-    d.(i) <- d.(i) +. w
-  end
-
-let charge_block t ~p1 ~p2 f =
-  if t.frozen then invalid_arg "Incr.charge_block: engine is frozen";
-  if p1 <> p2 then begin
-    let t0 =
-      if Trg_obs.Prof.enabled () then Trg_util.Clock.monotonic () else 0.
-    in
-    register t p1;
-    register t p2;
-    let d = pair_array t p1 p2 in
-    let c = t.n_sets in
-    let flip = p1 > p2 in
-    f (fun index w ->
-        if w <> 0. then begin
-          if not (Float.is_integer w) then t.exact <- false;
-          let i = if flip then (c - index) mod c else index in
-          d.(i) <- d.(i) +. w
-        end);
-    if Trg_obs.Prof.enabled () then
-      Metrics.observe (Lazy.force h_charge_us)
-        (1e6 *. (Trg_util.Clock.monotonic () -. t0))
-  end
+let seed_pair t ~p1 ~p2 dd ~lo ~hi =
+  if t.frozen then invalid_arg "Incr.seed_pair: engine is frozen";
+  check_id p1;
+  if p1 >= p2 then invalid_arg "Incr.seed_pair: p1 must be below p2";
+  if lo < 0 || hi >= Array.length dd then
+    invalid_arg "Incr.seed_pair: range outside the buffer";
+  let t0 =
+    if Trg_obs.Prof.enabled () then Trg_util.Clock.monotonic () else 0.
+  in
+  let c = t.n_sets in
+  let d =
+    match Imap.find (nbrs t p1) p2 with
+    | d -> d
+    | exception Not_found ->
+      Metrics.incr m_seeded_pairs;
+      link t p1 p2
+  in
+  (* Integrate twice, folding buffer index i onto set offset i mod C by
+     a wrapping counter, and clear the buffer as it is read. *)
+  let k = ref (lo mod c) in
+  let run1 = ref 0. and run2 = ref 0. in
+  for i = lo to hi do
+    run1 := !run1 +. dd.(i);
+    dd.(i) <- 0.;
+    run2 := !run2 +. !run1;
+    d.(!k) <- d.(!k) +. !run2;
+    incr k;
+    if !k = c then k := 0
+  done;
+  if Trg_obs.Prof.enabled () then
+    Metrics.observe (Lazy.force h_charge_us)
+      (1e6 *. (Trg_util.Clock.monotonic () -. t0))
 
 let freeze t = t.frozen <- true
+
+(* [target.(i) += src.((i + a) mod C)] for [0 <= a < C]. *)
+let add_rotated target src a =
+  let c = Array.length target in
+  for i = 0 to c - 1 - a do
+    target.(i) <- target.(i) +. src.(i + a)
+  done;
+  for i = c - a to c - 1 do
+    target.(i) <- target.(i) +. src.(i + a - c)
+  done
+
+(* [target.(i) += src.((k - i) mod C)] for [0 <= k < C]. *)
+let add_reflected target src k =
+  let c = Array.length target in
+  for i = 0 to k do
+    target.(i) <- target.(i) +. src.(k - i)
+  done;
+  for i = k + 1 to c - 1 do
+    target.(i) <- target.(i) +. src.(k - i + c)
+  done
 
 let cost t ~fixed ~moving =
   Metrics.incr m_queries;
   let rf = find t fixed and rm = find t moving in
   if rf = rm then invalid_arg "Incr.cost: fixed and moving share a group";
-  match Hashtbl.find_opt t.pairs (key rf rm) with
-  | None -> Array.make t.n_sets 0.
-  | Some d -> if rf < rm then Array.copy d else reversed t.n_sets d
+  match Imap.find (nbrs t rf) rm with
+  | exception Not_found -> Array.make t.n_sets 0.
+  | d when rf < rm -> Array.copy d
+  | d ->
+    (* The stored array is D_{rm,rf}; D_{rf,rm}(i) = D_{rm,rf}((-i) mod C). *)
+    let c = t.n_sets in
+    let r = Array.make c d.(0) in
+    for i = 1 to c - 1 do
+      r.(i) <- d.(c - i)
+    done;
+    r
 
 let apply_merge t ~fixed ~moving ~shift =
   let t0 =
@@ -172,52 +209,31 @@ let apply_merge t ~fixed ~moving ~shift =
   let rf = find t fixed and rm = find t moving in
   if rf = rm then invalid_arg "Incr.apply_merge: groups already merged";
   let s = ((shift mod c) + c) mod c in
-  let neighbours =
-    match Hashtbl.find_opt t.adj rm with
-    | None -> []
-    | Some h -> Hashtbl.fold (fun w () acc -> w :: acc) h []
-  in
-  List.iter
-    (fun w ->
+  let neg_s = if s = 0 then 0 else c - s in
+  let deltas = ref 0 in
+  Imap.iter
+    (fun w d ->
       if w <> rf then begin
-        (* D_{rm,w}, removed from the table and oriented rm-to-w. *)
-        let d_mw =
-          match Hashtbl.find_opt t.pairs (key rm w) with
-          | None -> assert false
-          | Some d ->
-            Hashtbl.remove t.pairs (key rm w);
-            if rm < w then d else reversed c d
-        in
-        let target =
-          match Hashtbl.find_opt t.pairs (key rf w) with
-          | Some d -> d
-          | None ->
-            let d = Array.make c 0. in
-            Hashtbl.replace t.pairs (key rf w) d;
-            Hashtbl.replace (adj_of t rf) w ();
-            Hashtbl.replace (adj_of t w) rf ();
-            d
-        in
+        let target = pair t rf w in
         (* Composition: D_{Z,w}(i) += D_{rm,w}((i - s) mod C), written in
-           the target's stored orientation. *)
-        if rf < w then
-          for i = 0 to c - 1 do
-            target.(i) <- target.(i) +. d_mw.((i - s + c) mod c)
-          done
-        else
-          (* target is D_{w,rf}: entry j corresponds to i = (-j) mod C. *)
-          for j = 0 to c - 1 do
-            target.(j) <- target.(j) +. d_mw.(((2 * c) - j - s) mod c)
-          done;
-        Hashtbl.remove (adj_of t w) rm;
-        Metrics.incr m_deltas;
-        Metrics.add m_sets_recosted c
+           the target's stored orientation.  [d] is D_{rm,w} when
+           rm < w and D_{w,rm} otherwise; the target is D_{rf,w} when
+           rf < w and D_{w,rf} otherwise. *)
+        (match (rf < w, rm < w) with
+        | true, true -> add_rotated target d neg_s
+        | true, false -> add_reflected target d s
+        | false, true -> add_reflected target d neg_s
+        | false, false -> add_rotated target d s);
+        Imap.remove (nbrs t w) rm;
+        incr deltas
       end)
-    neighbours;
-  Hashtbl.remove t.pairs (key rf rm);
-  Hashtbl.remove (adj_of t rf) rm;
-  Hashtbl.remove t.adj rm;
-  Hashtbl.replace t.parent rm rf;
+    (nbrs t rm);
+  Imap.remove (nbrs t rf) rm;
+  reserve t rm;
+  t.nbrs.(rm) <- no_nbrs;
+  t.parent.(rm) <- rf;
+  Metrics.add m_deltas !deltas;
+  Metrics.add m_sets_recosted (!deltas * c);
   Metrics.incr m_merges;
   if Trg_obs.Prof.enabled () then
     Metrics.observe (Lazy.force h_apply_us)

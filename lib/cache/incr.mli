@@ -10,16 +10,19 @@
     under an internal union-find; after [apply_merge ~fixed ~moving] any
     member id of the merged group resolves to the same group.
 
-    {b Exactness.}  Charges are summed as floats in a different order
-    than a from-scratch recomputation would use; the results are still
-    {e bit-identical} when every charged weight is an integral float
+    {b Exactness.}  Pair arrays are summed as floats in a different
+    order than a from-scratch recomputation would use; the results are
+    still {e bit-identical} when every seeded value is an integral float
     (profile weights are event counts), because integral-float sums are
-    exact.  A non-integral charge clears {!exact}; callers must then
-    fall back to the full evaluator ({!Trg_place.Cost.offsets_cost}) —
-    see [trgplace --cost-engine].
+    exact.  The seeder, {!Trg_place.Cost.seed_incr}, checks every edge
+    weight and falls back to the full evaluator
+    ({!Trg_place.Cost.offsets_cost}) when one is not integral — see
+    [trgplace --cost-engine].
 
     Feeds the [cost/incr/*] telemetry counters: [seeded_pairs],
-    [queries], [merges], [deltas_applied] and [sets_recosted]. *)
+    [queries], [merges], [deltas_applied] and [sets_recosted]; under
+    [--profile], [prof/incr/charge_us] (one observation per seeded pair)
+    and [prof/incr/apply_us] (one per merge). *)
 
 type t
 
@@ -27,33 +30,26 @@ val create : n_sets:int -> t
 (** An empty engine over a cache of [n_sets] sets.  Raises
     [Invalid_argument] when [n_sets <= 0]. *)
 
-val charge : t -> p1:int -> p2:int -> index:int -> float -> unit
-(** [charge t ~p1 ~p2 ~index w] adds [w] at offset [index] of the pair
-    array oriented p1-to-p2 — [index] is [(l1 - l2) mod n_sets] for a
-    profile edge between a line [l1] of [p1] and a line [l2] of [p2],
-    both at their seed position (offset 0), matching
-    {!Trg_place.Cost.offsets_cost}'s convention.  Charges with [p1 = p2]
-    or [w = 0.] are ignored.  Only valid before {!freeze}. *)
-
-val charge_block : t -> p1:int -> p2:int -> ((int -> float -> unit) -> unit) -> unit
-(** [charge_block t ~p1 ~p2 f] is the bulk form of {!charge}: the pair
-    array is resolved once, then [f add] may call [add index w] any
-    number of times at per-array-write cost.  Semantically identical to
-    calling {!charge} for each [(index, w)]; seeding loops that charge
-    every line pair of one profile edge should use this.  A block with
-    [p1 = p2] is ignored ([f] is not called). *)
+val seed_pair : t -> p1:int -> p2:int -> float array -> lo:int -> hi:int -> unit
+(** [seed_pair t ~p1 ~p2 dd ~lo ~hi] charges the pair [p1 < p2] at its
+    seed position (every group at offset 0) with the double prefix sum
+    of the second-difference buffer [dd] over [\[lo, hi\]]: the running
+    value at buffer index [i] is added at offset [i mod n_sets] of the
+    pair array oriented p1-to-p2, whose index [(l1 - l2) mod n_sets]
+    follows {!Trg_place.Cost.offsets_cost}'s convention for a line [l1]
+    of [p1] and a line [l2] of [p2].  Only [dd.(lo..hi)] is read, and
+    it is zero on return, so one buffer serves every pair.  A pair may
+    be seeded more than once; its charges add up.  Only valid before
+    {!freeze}. *)
 
 val freeze : t -> unit
-(** Ends the seeding phase; further {!charge}s raise. *)
-
-val exact : t -> bool
-(** Whether every charge so far was an integral float — the
-    bit-identity guarantee holds only when this is [true]. *)
+(** Ends the seeding phase; further {!seed_pair}s raise. *)
 
 val n_sets : t -> int
 
 val find : t -> int -> int
-(** Current group root of an id (ids never seen are singletons). *)
+(** Current group root of an id (ids never seen are singletons).  Ids
+    are non-negative. *)
 
 val cost : t -> fixed:int -> moving:int -> float array
 (** [cost t ~fixed ~moving] is the length-[n_sets] cost array of

@@ -37,28 +37,62 @@ let record_l2 r =
    decode only the fields they need with the [Event.packed_*]
    accessors, so they allocate nothing per event. *)
 
-(* Direct-mapped: one tag per line, tag = memory line address. *)
+(* [Some k] when [n = 2^k]. *)
+let log2_exact n =
+  if n <= 0 || n land (n - 1) <> 0 then None
+  else begin
+    let k = ref 0 in
+    while 1 lsl !k < n do
+      incr k
+    done;
+    Some !k
+  end
+
+(* Direct-mapped: one tag per line, tag = memory line address.  Addresses
+   are non-negative, so when the line size and the line count are both
+   powers of two the line address is a shift and the index a mask, and
+   an event's accesses are counted at once.  Other geometries (a 3-line
+   toy cache, a 6 KB cache) keep the dividing loop. *)
 let simulate_direct addr (config : Config.t) trace =
   let n_lines = Config.n_lines config in
   let line_size = config.line_size in
   let tags = Array.make n_lines (-1) in
   let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
   let n = Trace.length trace in
-  for i = 0 to n - 1 do
-    let w = Trace.packed trace i in
-    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
-    let first = base / line_size
-    and last = (base + Event.packed_len w - 1) / line_size in
-    for la = first to last do
-      incr accesses;
-      let idx = la mod n_lines in
-      if tags.(idx) <> la then begin
-        incr misses;
-        if tags.(idx) >= 0 then incr evictions;
-        tags.(idx) <- la
-      end
+  (match (log2_exact line_size, log2_exact n_lines) with
+  | Some shift, Some _ ->
+    let mask = n_lines - 1 in
+    for i = 0 to n - 1 do
+      let w = Trace.packed trace i in
+      let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+      let first = base lsr shift
+      and last = (base + Event.packed_len w - 1) lsr shift in
+      accesses := !accesses + (last - first + 1);
+      for la = first to last do
+        let idx = la land mask in
+        if tags.(idx) <> la then begin
+          incr misses;
+          if tags.(idx) >= 0 then incr evictions;
+          tags.(idx) <- la
+        end
+      done
     done
-  done;
+  | _ ->
+    for i = 0 to n - 1 do
+      let w = Trace.packed trace i in
+      let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+      let first = base / line_size
+      and last = (base + Event.packed_len w - 1) / line_size in
+      for la = first to last do
+        incr accesses;
+        let idx = la mod n_lines in
+        if tags.(idx) <> la then begin
+          incr misses;
+          if tags.(idx) >= 0 then incr evictions;
+          tags.(idx) <- la
+        end
+      done
+    done);
   { accesses = !accesses; misses = !misses; evictions = !evictions; events = n }
 
 (* Set-associative with true LRU: each set is a slice of [tags] kept in

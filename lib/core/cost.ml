@@ -297,32 +297,88 @@ let h_seed_us =
    lines starting at set [s1] and a block of [l2] lines at [s2]
    contributes, over the offsets, the circular cross-correlation of the
    two line intervals — a trapezoid whose {e second difference} is just
-   four spikes.  Accumulating spikes per procedure pair and integrating
-   twice makes seeding O(1) per edge plus O(n_sets) per pair, instead of
-   O(l1 x l2) per edge.  Exactness is preserved: every integrated value
-   is the integral per-cell total the full evaluator would sum to. *)
-(* Per-pair spike accumulator.  Spikes live at base + {0, l1, l2,
-   l1+l2} with base < n_sets and l1, l2 <= n_sets, so a 3C+1 linear
-   buffer holds them; the double prefix sum reconstructs the trapezoid,
-   folded mod C as it streams.  [lo]/[hi] track the spike support so
-   sparse pairs (few edges, narrow trapezoids) pay O(support), not
-   O(3C), to integrate. *)
-type spikes = {
-  p1 : int;
-  p2 : int;
-  dd : float array;
-  mutable lo : int;
-  mutable hi : int;
-}
+   four spikes, at base + {0, l1, l2, l1+l2} with base < n_sets and
+   l1, l2 <= n_sets.  Accumulating one procedure pair's spikes in a
+   3C+1 buffer and integrating twice makes seeding O(1) per edge plus
+   O(support) per pair, instead of O(l1 x l2) per edge.  Exactness is
+   preserved: every integrated value is the integral per-cell total the
+   full evaluator would sum to.
 
-let integrate_spikes t ~n_sets sp =
-  Trg_cache.Incr.charge_block t ~p1:sp.p1 ~p2:sp.p2 (fun add ->
-      let run1 = ref 0. and run2 = ref 0. in
-      for i = sp.lo to sp.hi do
-        run1 := !run1 +. sp.dd.(i);
-        run2 := !run2 +. !run1;
-        if !run2 <> 0. then add (i mod n_sets) !run2
-      done)
+   The edges are bucketed by procedure pair first — [Graph.Counts]'s
+   open-addressing table, keyed by the packed pair, numbers the pairs in
+   first-seen order, and a counting sort groups each pair's edges — so a
+   single scratch buffer serves the whole seeding: each pair's spikes
+   land in it, and {!Trg_cache.Incr.seed_pair} integrates them into the
+   pair's array and clears it. *)
+
+(* [owner], [start] and [lines] give each graph node's procedure, first
+   cache set at offset 0 and line count. *)
+let seed_graph graph ~owner ~start ~lines ~n_sets =
+  let n_edges = Graph.n_edges graph in
+  (* Numbers the procedure pairs in first-seen order and counts their
+     edges. *)
+  let pairs = Graph.Counts.create () in
+  (* Inter-procedure edges in iteration order: pair number, endpoints
+     packed with the lower-numbered procedure's node first, weight. *)
+  let e_pair = Array.make n_edges 0
+  and e_ends = Array.make n_edges 0
+  and e_w = Array.make n_edges 0. in
+  let n = ref 0 and integral = ref true in
+  Graph.iter_edges_unordered
+    (fun u v w ->
+      (* Same-owner edges are intra-node from the first merge to the
+         last; the full evaluator never charges them either. *)
+      let pu = owner.(u) and pv = owner.(v) in
+      if pu <> pv then begin
+        if not (Float.is_integer w) then integral := false;
+        Graph.Counts.add pairs pu pv;
+        e_pair.(!n) <- Graph.Counts.index pairs pu pv;
+        e_ends.(!n) <- (if pu < pv then (u lsl 24) lor v else (v lsl 24) lor u);
+        e_w.(!n) <- w;
+        incr n
+      end)
+    graph;
+  if not !integral then None
+  else begin
+    (* Counting sort by pair number; pair q's edges are
+       [order.(first.(q) .. first.(q + 1) - 1)]. *)
+    let n_pairs = Graph.Counts.length pairs in
+    let first = Array.make (n_pairs + 1) 0 in
+    for q = 0 to n_pairs - 1 do
+      first.(q + 1) <- first.(q) + Graph.Counts.count pairs q
+    done;
+    let next = Array.sub first 0 n_pairs in
+    let order = Array.make !n 0 in
+    for e = 0 to !n - 1 do
+      let q = e_pair.(e) in
+      order.(next.(q)) <- e;
+      next.(q) <- next.(q) + 1
+    done;
+    let t = Trg_cache.Incr.create ~n_sets in
+    let dd = Array.make ((3 * n_sets) + 1) 0. in
+    for q = 0 to n_pairs - 1 do
+      let lo = ref max_int and hi = ref 0 in
+      for r = first.(q) to first.(q + 1) - 1 do
+        let e = order.(r) in
+        let a = e_ends.(e) lsr 24 and b = e_ends.(e) land 0xFFFFFF in
+        let la = lines.(a) and lb = lines.(b) and w = e_w.(e) in
+        let base = (start.(a) - start.(b) - (lb - 1) + (2 * n_sets)) mod n_sets in
+        dd.(base) <- dd.(base) +. w;
+        dd.(base + la) <- dd.(base + la) -. w;
+        dd.(base + lb) <- dd.(base + lb) -. w;
+        dd.(base + la + lb) <- dd.(base + la + lb) +. w;
+        if base < !lo then lo := base;
+        if base + la + lb > !hi then hi := base + la + lb
+      done;
+      let e = order.(first.(q)) in
+      Trg_cache.Incr.seed_pair t
+        ~p1:owner.(e_ends.(e) lsr 24)
+        ~p2:owner.(e_ends.(e) land 0xFFFFFF)
+        dd ~lo:!lo ~hi:!hi
+    done;
+    Trg_cache.Incr.freeze t;
+    Some t
+  end
 
 (* Seed an incremental engine for a model, or [None] when the model is
    out of scope.  Only the two group-decomposable models qualify: the
@@ -330,99 +386,27 @@ let integrate_spikes t ~n_sets sp =
    in the group split) and Blend renormalises sub-costs per query
    (nonlinear), so those fall back to the full evaluator — as does any
    non-integral profile weight (perturbed graphs), which would void the
-   bit-identity guarantee. *)
+   bit-identity guarantee.  Edge weights are the only values seeding
+   reads, so checking each one covers every value it writes. *)
 let seed_incr_untimed model program ~line_size ~n_sets =
-  let fallback () =
-    Trg_obs.Metrics.incr m_fallbacks;
-    None
-  in
   let line_count bytes = min ((bytes + line_size - 1) / line_size) n_sets in
-  (* Pairs are keyed by a packed int (not a tuple) and the four spikes
-     of each edge land directly in the pair's buffer: the per-edge cost
-     is one int-keyed lookup and four array writes, with no allocation.
-     A one-entry memo skips even the lookup on runs of edges between the
-     same two procedures, the common case when walking adjacency. *)
-  let by_pair : (int, spikes) Hashtbl.t = Hashtbl.create 1024 in
-  let integral = ref true in
-  let last_key = ref min_int in
-  let last_spikes = ref None in
-  let add_edge p1 s1 l1 p2 s2 l2 w =
-    if p1 <> p2 then begin
-      if not (Float.is_integer w) then integral := false;
-      let a, sa, la, sb, lb =
-        if p1 <= p2 then (p1, s1, l1, s2, l2) else (p2, s2, l2, s1, l1)
-      in
-      let key = (a lsl 31) lor (p1 lxor p2 lxor a) in
-      let sp =
-        match !last_spikes with
-        | Some sp when !last_key = key -> sp
-        | _ ->
-          let sp =
-            match Hashtbl.find_opt by_pair key with
-            | Some sp -> sp
-            | None ->
-              let sp =
-                {
-                  p1 = a;
-                  p2 = p1 lxor p2 lxor a;
-                  dd = Array.make ((3 * n_sets) + 1) 0.;
-                  lo = max_int;
-                  hi = 0;
-                }
-              in
-              Hashtbl.replace by_pair key sp;
-              sp
-          in
-          last_key := key;
-          last_spikes := Some sp;
-          sp
-      in
-      let base = (sa - sb - (lb - 1) + (2 * n_sets)) mod n_sets in
-      let dd = sp.dd in
-      dd.(base) <- dd.(base) +. w;
-      dd.(base + la) <- dd.(base + la) -. w;
-      dd.(base + lb) <- dd.(base + lb) -. w;
-      dd.(base + la + lb) <- dd.(base + la + lb) +. w;
-      if base < sp.lo then sp.lo <- base;
-      if base + la + lb > sp.hi then sp.hi <- base + la + lb
-    end
+  let seeded =
+    match model with
+    | Trg_chunks { chunks; trg } ->
+      let n = Chunk.total chunks in
+      seed_graph trg ~n_sets
+        ~owner:(Array.init n (Chunk.owner chunks))
+        ~start:
+          (Array.init n (chunk_start_set chunks ~line_size ~n_sets ~owner_set:0))
+        ~lines:(Array.init n (fun c -> line_count (Chunk.size_of chunks c)))
+    | Wcg_procs { wcg } ->
+      let n = Program.n_procs program in
+      seed_graph wcg ~n_sets ~owner:(Array.init n Fun.id) ~start:(Array.make n 0)
+        ~lines:(Array.init n (fun p -> line_count (Program.size program p)))
+    | Sa_pairs _ | Sa_tuples _ | Blend _ -> None
   in
-  let finish () =
-    if not !integral then fallback ()
-    else begin
-      let t = Trg_cache.Incr.create ~n_sets in
-      Hashtbl.iter (fun _ sp -> integrate_spikes t ~n_sets sp) by_pair;
-      Trg_cache.Incr.freeze t;
-      if Trg_cache.Incr.exact t then Some t else fallback ()
-    end
-  in
-  match model with
-  | Trg_chunks { chunks; trg } ->
-    Graph.iter_edges_unordered
-      (fun c1 c2 w ->
-        (* Same-owner chunk edges are intra-node from the first merge to
-           the last; the full evaluator never charges them either. *)
-        let p1 = Chunk.owner chunks c1 and p2 = Chunk.owner chunks c2 in
-        add_edge p1
-          (chunk_start_set chunks ~line_size ~n_sets ~owner_set:0 c1)
-          (line_count (Chunk.size_of chunks c1))
-          p2
-          (chunk_start_set chunks ~line_size ~n_sets ~owner_set:0 c2)
-          (line_count (Chunk.size_of chunks c2))
-          w)
-      trg;
-    finish ()
-  | Wcg_procs { wcg } ->
-    Graph.iter_edges_unordered
-      (fun p1 p2 w ->
-        add_edge p1 0
-          (line_count (Program.size program p1))
-          p2 0
-          (line_count (Program.size program p2))
-          w)
-      wcg;
-    finish ()
-  | Sa_pairs _ | Sa_tuples _ | Blend _ -> fallback ()
+  if Option.is_none seeded then Trg_obs.Metrics.incr m_fallbacks;
+  seeded
 
 let seed_incr model program ~line_size ~n_sets =
   if not (Trg_obs.Prof.enabled ()) then

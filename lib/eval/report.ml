@@ -51,6 +51,16 @@ let quick_options =
     cpus = Trg_cache.Cpu.default_selection;
   }
 
+(* [--quick] picks the base; each flag given explicitly overrides it. *)
+let resolve_options ~quick ~runs ~points ~benches =
+  let base = if quick then quick_options else default_options in
+  {
+    base with
+    runs = Option.value runs ~default:base.runs;
+    fig6_points = Option.value points ~default:base.fig6_points;
+    benches = (match benches with [] -> base.benches | l -> l);
+  }
+
 let message_of = function Failure m -> m | e -> Printexc.to_string e
 
 let pick options preferred =

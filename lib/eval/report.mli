@@ -59,6 +59,18 @@ val default_options : options
 val quick_options : options
 (** Small and fast: 8 runs, 20 points, the [small] workload only, strict. *)
 
+val resolve_options :
+  quick:bool ->
+  runs:int option ->
+  points:int option ->
+  benches:Trg_synth.Shape.t list ->
+  options
+(** The options of an experiment command line.  [quick] selects
+    {!quick_options} as the base, otherwise {!default_options}; a run
+    count, point count or benchmark list given explicitly ([Some _], a
+    non-empty list) replaces the base's, so [--quick -b vortex] runs
+    [vortex] with the quick counts. *)
+
 val table1 : options -> failure list
 (** Each experiment returns the failures it isolated — always [[]] in
     strict mode, where the first failure raises instead. *)

@@ -123,6 +123,19 @@ module Counts = struct
       end
     end
 
+  let length t = t.n
+
+  let index t p q =
+    check p;
+    check q;
+    let k = key p q in
+    let s = find_slot t k in
+    if p <> q && t.keys.(s) = k then t.slot_edge.(s) else -1
+
+  let count t i =
+    if i < 0 || i >= t.n then invalid_arg "Graph.Counts.count: no such edge";
+    t.count.(i)
+
   let to_graph t : graph =
     let g = create_graph ~hint:t.hint () in
     for e = 0 to t.n - 1 do

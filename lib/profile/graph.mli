@@ -39,6 +39,16 @@ module Counts : sig
   (** [add t p q] adds 1 to the count of the undirected edge [{p, q}].
       Ids are checked as by {!add_edge}; self-edges are ignored. *)
 
+  val length : t -> int
+  (** Distinct edges counted so far. *)
+
+  val index : t -> int -> int -> int
+  (** [index t p q] is the position of edge [{p, q}] in first-seen order,
+      [0] to [length t - 1], or [-1] when it has not been added. *)
+
+  val count : t -> int -> int
+  (** [count t i] is the count of the edge at position [i]. *)
+
   val to_graph : t -> graph
   (** The graph of the counts so far, built with one
       [add_edge g p q (float count)] per distinct edge, in the order the

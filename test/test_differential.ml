@@ -267,6 +267,51 @@ let prop_lru_matches_reference =
         refs;
       sim.Sim.misses = !misses)
 
+(* The direct-mapped simulator against the brute-force LRU model at
+   associativity 1, over random geometry: line sizes with and without a
+   power of two, line counts 1 to 40, unaligned addresses and events of
+   1 to 200 bytes, so both of [Sim]'s direct-mapped loops run. *)
+let prop_direct_matches_reference =
+  QCheck.Test.make ~name:"direct-mapped Sim matches reference over random geometry"
+    ~count:(scaled 200)
+    QCheck.(
+      make
+        ~print:(fun (line_size, n_lines, seed, n) ->
+          Printf.sprintf "line %d, %d lines, seed %d, %d events" line_size n_lines
+            seed n)
+        Gen.(
+          quad (oneofl [ 8; 16; 24; 32; 64 ]) (int_range 1 40) int (int_range 1 300)))
+    (fun (line_size, n_lines, seed, n) ->
+      let rng = Prng.create seed in
+      let program = Program.of_sizes (Array.init 12 (fun _ -> 1 + Prng.int rng 400)) in
+      let layout = Layout.random rng program in
+      let events =
+        List.init n (fun _ ->
+            let proc = Prng.int rng 12 in
+            Event.make ~kind:Event.Enter ~proc
+              ~offset:(Prng.int rng (Program.size program proc))
+              ~len:(1 + Prng.int rng 200))
+      in
+      let cache = Config.make ~size:(n_lines * line_size) ~line_size ~assoc:1 in
+      let sim = Sim.simulate program layout cache (Trace.of_list events) in
+      let probe = Trg_cache.Policy.Reference.create Trg_cache.Policy.Lru ~n_sets:n_lines ~assoc:1 in
+      let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
+      List.iter
+        (fun (e : Event.t) ->
+          let base = Layout.address layout e.Event.proc + e.Event.offset in
+          for la = base / line_size to (base + e.Event.len - 1) / line_size do
+            incr accesses;
+            match Trg_cache.Policy.Reference.access probe la with
+            | -2 -> ()
+            | -1 -> incr misses
+            | _ ->
+              incr misses;
+              incr evictions
+          done)
+        events;
+      sim.Sim.accesses = !accesses && sim.Sim.misses = !misses
+      && sim.Sim.evictions = !evictions)
+
 (* --- Reuse distances vs a scan reference ---------------------------------- *)
 
 let prop_reuse_matches_reference =
@@ -390,14 +435,53 @@ let small_cache = Trg_cache.Config.make ~size:256 ~line_size:32 ~assoc:1
 
 let place_config = Gbsc.default_config ~cache:small_cache ()
 
+(* The wall runs at real geometry: 8 sets, 64 sets (2 KB of 32-byte
+   lines) and 6 sets, a count that is not a power of two.  Procedure
+   sizes reach twice the cache and events touch random byte ranges, so
+   chunks start past set 0, blocks cover up to every set, and a seeded
+   trapezoid can span the whole cache. *)
+let wall_caches =
+  List.map
+    (fun size -> Trg_cache.Config.make ~size ~line_size:32 ~assoc:1)
+    [ 256; 2048; 192 ]
+
+let gen_wall_workload =
+  QCheck.Gen.(
+    pair (oneofl wall_caches) (pair (int_range 3 14) (pair (int_range 30 400) int))
+    |> map (fun (cache, (n_procs, (len, seed))) ->
+           let rng = Prng.create seed in
+           let sizes =
+             Array.init n_procs (fun _ ->
+                 1 + Prng.int rng (2 * cache.Trg_cache.Config.size))
+           in
+           let program = Program.of_sizes sizes in
+           let cur = ref (Prng.int rng n_procs) in
+           let events =
+             List.init len (fun _ ->
+                 (if Prng.int rng 4 = 0 then cur := Prng.int rng n_procs
+                  else cur := (!cur + 1 + Prng.int rng 2) mod n_procs);
+                 let size = sizes.(!cur) in
+                 let offset = Prng.int rng size in
+                 Event.make ~kind:Event.Enter ~proc:!cur ~offset
+                   ~len:(1 + Prng.int rng (size - offset)))
+           in
+           (cache, program, Trace.of_list events)))
+
+let arb_wall_workload =
+  QCheck.make gen_wall_workload ~print:(fun (cache, program, trace) ->
+      Format.asprintf "%a, sizes %s, %d events" Trg_cache.Config.pp cache
+        (QCheck.Print.(list int)
+           (List.init (Program.n_procs program) (Program.size program)))
+        (Trace.length trace))
+
 (* The heart of the equivalence claim: at {e every} step of the greedy
    merge loop — including states reached through deliberately random
    (non-argmin) shifts — the incremental engine's cost array must equal,
    bit for bit, a from-scratch [Cost.offsets_cost] recomputation over the
    same two nodes.  Exercised for both group-decomposable models. *)
-let check_incr_matches_full ~model ~select program ~shift_seed =
-  let n_sets = Trg_cache.Config.n_sets small_cache in
-  let line_size = small_cache.Trg_cache.Config.line_size in
+let check_incr_matches_full ~cache ~model ~select program ~shift_seed =
+  let n_sets = Trg_cache.Config.n_sets cache in
+  let line_size = cache.Trg_cache.Config.line_size in
   match Cost.seed_incr model program ~line_size ~n_sets with
   | None -> QCheck.Test.fail_reportf "seed_incr refused an integral model"
   | Some eng ->
@@ -435,24 +519,24 @@ let prop_incr_matches_full_chunk_model =
   QCheck.Test.make
     ~name:"incr cost equals full recompute at every merge (chunk TRG model)"
     ~count:(scaled 40)
-    QCheck.(pair arb_place_workload small_int)
-    (fun ((program, trace), shift_seed) ->
-      let prof = Gbsc.profile place_config program trace in
+    QCheck.(pair arb_wall_workload small_int)
+    (fun ((cache, program, trace), shift_seed) ->
+      let prof = Gbsc.profile (Gbsc.default_config ~cache ()) program trace in
       let model =
         Cost.Trg_chunks
           { chunks = prof.Gbsc.chunks; trg = prof.Gbsc.place.Trg.graph }
       in
-      check_incr_matches_full ~model ~select:prof.Gbsc.select.Trg.graph program
-        ~shift_seed)
+      check_incr_matches_full ~cache ~model ~select:prof.Gbsc.select.Trg.graph
+        program ~shift_seed)
 
 let prop_incr_matches_full_wcg_model =
   QCheck.Test.make
     ~name:"incr cost equals full recompute at every merge (WCG model)"
     ~count:(scaled 40)
-    QCheck.(pair arb_place_workload small_int)
-    (fun ((program, trace), shift_seed) ->
+    QCheck.(pair arb_wall_workload small_int)
+    (fun ((cache, program, trace), shift_seed) ->
       let wcg = Wcg.build trace in
-      check_incr_matches_full ~model:(Cost.Wcg_procs { wcg }) ~select:wcg
+      check_incr_matches_full ~cache ~model:(Cost.Wcg_procs { wcg }) ~select:wcg
         program ~shift_seed)
 
 (* End-to-end: whole placements — layouts and therefore simulated miss
@@ -546,6 +630,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trg_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;
+    QCheck_alcotest.to_alcotest prop_direct_matches_reference;
     QCheck_alcotest.to_alcotest prop_reuse_matches_reference;
     QCheck_alcotest.to_alcotest prop_paging_matches_reference;
     QCheck_alcotest.to_alcotest prop_attrib_matches_sim;

@@ -296,6 +296,34 @@ let test_why_analysis () =
       | Some (Json.String "trgplace-why/1") -> ()
       | _ -> Alcotest.fail "why JSON schema marker missing")
 
+(* [--quick] supplies defaults only: an explicit -b, --runs or --points
+   wins, and with none of them the result is exactly the quick (or the
+   default) options. *)
+let test_resolve_options () =
+  let module R = Trg_eval.Report in
+  let names o = List.map (fun s -> s.Trg_synth.Shape.name) o.R.benches in
+  let resolve ?runs ?points ?(benches = []) quick =
+    R.resolve_options ~quick ~runs ~points ~benches:(List.map Bench.find benches)
+  in
+  let check_counts label (runs, points, benches) o =
+    Alcotest.(check int) (label ^ ": runs") runs o.R.runs;
+    Alcotest.(check int) (label ^ ": points") points o.R.fig6_points;
+    Alcotest.(check (list string)) (label ^ ": benches") benches (names o)
+  in
+  Alcotest.(check bool) "--quick alone is quick_options" true
+    (resolve true = R.quick_options);
+  Alcotest.(check bool) "no flag is default_options" true
+    (resolve false = R.default_options);
+  check_counts "--quick -b vortex" (8, 20, [ "vortex" ])
+    (resolve ~benches:[ "vortex" ] true);
+  check_counts "--quick --runs 3 --points 5" (3, 5, [ "small" ])
+    (resolve ~runs:3 ~points:5 true);
+  check_counts "--runs 2 -b go -b perl" (2, 80, [ "go"; "perl" ])
+    (resolve ~runs:2 ~benches:[ "go"; "perl" ] false);
+  let q = resolve ~benches:[ "go" ] true in
+  Alcotest.(check bool) "--quick keeps its summary printing" false
+    (q.R.print_cdf || q.R.print_points)
+
 let suite =
   [
     Alcotest.test_case "prepare consistency" `Quick test_prepare_consistency;
@@ -319,4 +347,6 @@ let suite =
       test_replay_rejects_tampering;
     Alcotest.test_case "replay ph roundtrip" `Quick test_replay_ph_roundtrip;
     Alcotest.test_case "why analysis" `Quick test_why_analysis;
+    Alcotest.test_case "resolve options: --quick sets defaults only" `Quick
+      test_resolve_options;
   ]

@@ -91,7 +91,8 @@ let graph_view g =
 
 (* A tiny hint makes the count table and its first-seen arrays grow many
    times; the graph must still be the one [add_edge _ _ 1.] per increment
-   builds, self-edges included (both ignore them). *)
+   builds, self-edges included (both ignore them).  Edge positions are
+   numbered in first-seen order and carry the same counts. *)
 let prop_counts_match_add_edge =
   QCheck.Test.make ~name:"Counts graph = add_edge per increment" ~count:200
     QCheck.(
@@ -100,12 +101,30 @@ let prop_counts_match_add_edge =
     (fun (hint, pairs) ->
       let counts = Graph.Counts.create ~hint () in
       let g = Graph.create ~hint () in
-      List.iter
-        (fun (p, q) ->
-          Graph.Counts.add counts p q;
-          Graph.add_edge g p q 1.)
-        pairs;
-      graph_view (Graph.Counts.to_graph counts) = graph_view g)
+      let seen = Hashtbl.create 64 in
+      let numbered_on_first_sight =
+        List.for_all
+          (fun (p, q) ->
+            Graph.Counts.add counts p q;
+            Graph.add_edge g p q 1.;
+            let k = (min p q, max p q) in
+            p = q
+            || Hashtbl.mem seen k
+            ||
+            let position = Hashtbl.length seen in
+            Hashtbl.add seen k ();
+            Graph.Counts.index counts p q = position)
+          pairs
+      in
+      numbered_on_first_sight
+      && Graph.Counts.length counts = Graph.n_edges g
+      && List.for_all
+           (fun (p, q) ->
+             let i = Graph.Counts.index counts p q in
+             if p = q then i = -1
+             else Graph.Counts.count counts i = int_of_float (Graph.weight g p q))
+           pairs
+      && graph_view (Graph.Counts.to_graph counts) = graph_view g)
 
 let test_counts_id_range_and_snapshots () =
   let c = Graph.Counts.create () in
