@@ -42,13 +42,12 @@ let cost_trg_chunks chunks trg program ~line_size ~n_sets ~n1 ~n2 cost =
         let s2 =
           chunk_start_set chunks ~line_size ~n_sets ~owner_set:o2 c2
         in
-        List.iter
-          (fun c1 ->
+        Graph.iter_neighbors trg c2 (fun c1 e ->
             let p1 = Chunk.owner chunks c1 in
             match Hashtbl.find_opt in1 p1 with
             | None -> ()
             | Some o1 ->
-              let w = Graph.weight trg c1 c2 in
+              let w = Graph.edge_weight trg e in
               let s1 =
                 chunk_start_set chunks ~line_size ~n_sets ~owner_set:o1 c1
               in
@@ -58,7 +57,6 @@ let cost_trg_chunks chunks trg program ~line_size ~n_sets ~n1 ~n2 cost =
                     ~bytes:(Chunk.size_of chunks c2) (fun l2 ->
                       let i = (l1 - l2 + n_sets) mod n_sets in
                       cost.(i) <- cost.(i) +. w)))
-          (Graph.neighbors trg c2)
       done)
     (Node.members n2)
 
@@ -66,19 +64,17 @@ let cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost =
   let in1 = offsets_of_node n1 in
   List.iter
     (fun (p2, o2) ->
-      List.iter
-        (fun p1 ->
+      Graph.iter_neighbors wcg p2 (fun p1 e ->
           match Hashtbl.find_opt in1 p1 with
           | None -> ()
           | Some o1 ->
-            let w = Graph.weight wcg p1 p2 in
+            let w = Graph.edge_weight wcg e in
             iter_lines ~line_size ~n_sets ~start_set:o1
               ~bytes:(Program.size program p1) (fun l1 ->
                 iter_lines ~line_size ~n_sets ~start_set:o2
                   ~bytes:(Program.size program p2) (fun l2 ->
                     let i = (l1 - l2 + n_sets) mod n_sets in
-                    cost.(i) <- cost.(i) +. w)))
-        (Graph.neighbors wcg p2))
+                    cost.(i) <- cost.(i) +. w))))
     (Node.members n2)
 
 (* Set-associative pair cost: D(p, {r, s}) is charged at offset i only when
@@ -311,33 +307,31 @@ let h_seed_us =
    land in it, and {!Trg_cache.Incr.seed_pair} integrates them into the
    pair's array and clears it. *)
 
+(* [Float.is_integer], inlined: a call to it boxes its argument. *)
+let[@inline] is_integer w = w = Float.trunc w && w -. w = 0.
+
 (* [owner], [start] and [lines] give each graph node's procedure, first
-   cache set at offset 0 and line count. *)
+   cache set at offset 0 and line count.  Edges are read by number, so no
+   weight is boxed. *)
 let seed_graph graph ~owner ~start ~lines ~n_sets =
-  let n_edges = Graph.n_edges graph in
+  let n_edges = Graph.n_edges graph and weights = Graph.weights graph in
   (* Numbers the procedure pairs in first-seen order and counts their
      edges. *)
   let pairs = Graph.Counts.create () in
-  (* Inter-procedure edges in iteration order: pair number, endpoints
-     packed with the lower-numbered procedure's node first, weight. *)
-  let e_pair = Array.make n_edges 0
-  and e_ends = Array.make n_edges 0
-  and e_w = Array.make n_edges 0. in
-  let n = ref 0 and integral = ref true in
-  Graph.iter_edges_unordered
-    (fun u v w ->
-      (* Same-owner edges are intra-node from the first merge to the
-         last; the full evaluator never charges them either. *)
-      let pu = owner.(u) and pv = owner.(v) in
-      if pu <> pv then begin
-        if not (Float.is_integer w) then integral := false;
-        Graph.Counts.add pairs pu pv;
-        e_pair.(!n) <- Graph.Counts.index pairs pu pv;
-        e_ends.(!n) <- (if pu < pv then (u lsl 24) lor v else (v lsl 24) lor u);
-        e_w.(!n) <- w;
-        incr n
-      end)
-    graph;
+  (* Each edge's pair number, or -1 for a same-owner edge: those are
+     intra-node from the first merge to the last, and the full evaluator
+     never charges them either. *)
+  let e_pair = Array.make n_edges (-1) in
+  let integral = ref true in
+  for e = 0 to n_edges - 1 do
+    let x = Graph.edge_ends graph e in
+    let pu = owner.(x lsr 24) and pv = owner.(x land 0xFFFFFF) in
+    if pu <> pv then begin
+      if not (is_integer weights.(e)) then integral := false;
+      Graph.Counts.add pairs pu pv;
+      e_pair.(e) <- Graph.Counts.index pairs pu pv
+    end
+  done;
   if not !integral then None
   else begin
     (* Counting sort by pair number; pair q's edges are
@@ -348,11 +342,13 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
       first.(q + 1) <- first.(q) + Graph.Counts.count pairs q
     done;
     let next = Array.sub first 0 n_pairs in
-    let order = Array.make !n 0 in
-    for e = 0 to !n - 1 do
+    let order = Array.make first.(n_pairs) 0 in
+    for e = 0 to n_edges - 1 do
       let q = e_pair.(e) in
-      order.(next.(q)) <- e;
-      next.(q) <- next.(q) + 1
+      if q >= 0 then begin
+        order.(next.(q)) <- e;
+        next.(q) <- next.(q) + 1
+      end
     done;
     let t = Trg_cache.Incr.create ~n_sets in
     let dd = Array.make ((3 * n_sets) + 1) 0. in
@@ -360,8 +356,12 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
       let lo = ref max_int and hi = ref 0 in
       for r = first.(q) to first.(q + 1) - 1 do
         let e = order.(r) in
-        let a = e_ends.(e) lsr 24 and b = e_ends.(e) land 0xFFFFFF in
-        let la = lines.(a) and lb = lines.(b) and w = e_w.(e) in
+        let x = Graph.edge_ends graph e in
+        (* The lower-numbered procedure's node is [a]. *)
+        let u = x lsr 24 and v = x land 0xFFFFFF in
+        let u_first = owner.(u) < owner.(v) in
+        let a = if u_first then u else v and b = if u_first then v else u in
+        let la = lines.(a) and lb = lines.(b) and w = weights.(e) in
         let base = (start.(a) - start.(b) - (lb - 1) + (2 * n_sets)) mod n_sets in
         dd.(base) <- dd.(base) +. w;
         dd.(base + la) <- dd.(base + la) -. w;
@@ -370,11 +370,10 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
         if base < !lo then lo := base;
         if base + la + lb > !hi then hi := base + la + lb
       done;
-      let e = order.(first.(q)) in
-      Trg_cache.Incr.seed_pair t
-        ~p1:owner.(e_ends.(e) lsr 24)
-        ~p2:owner.(e_ends.(e) land 0xFFFFFF)
-        dd ~lo:!lo ~hi:!hi
+      let x = Graph.edge_ends graph order.(first.(q)) in
+      let pu = owner.(x lsr 24) and pv = owner.(x land 0xFFFFFF) in
+      Trg_cache.Incr.seed_pair t ~p1:(Int.min pu pv) ~p2:(Int.max pu pv) dd ~lo:!lo
+        ~hi:!hi
     done;
     Trg_cache.Incr.freeze t;
     Some t

@@ -1,10 +1,11 @@
 (* The measurement suite behind [trgplace perf].
 
    One deliberately small, deterministic set of units covers the
-   pipeline's cost centres: benchmark preparation, the three placement
-   algorithms (GBSC under both cost engines — the ledger is how the
-   incremental engine's payoff, and any regression of it, stays
-   visible), the trace simulator, and one pool round-trip.  Each unit is
+   pipeline's cost centres: benchmark preparation, trace loading, GBSC
+   profiling, the three placement algorithms (GBSC under both cost
+   engines — the ledger is how the incremental engine's payoff, and any
+   regression of it, stays visible), the trace simulator, and one pool
+   round-trip.  Each unit is
    run [reps] times; wall time and allocated words per repetition feed
    {!Trg_obs.Perf.robust}, and the deterministic [cost/*], [merge/*],
    [pool/*] and [sim/*] counters of the first repetition are captured
@@ -56,11 +57,20 @@ let with_engine kind f =
   Trg_place.Cost.set_engine kind;
   Fun.protect ~finally:(fun () -> Trg_place.Cost.set_engine saved) f
 
+(* The training trace as a v3 file, written once before any timing and
+   removed at exit, for the trace-load unit. *)
+let saved_trace trace =
+  let path = Filename.temp_file "trgplace-perf" ".trace" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  Trg_trace.Io.save_flat path trace;
+  path
+
 let bench_units ?policy name =
   let shape = Trg_synth.Bench.find name in
   let r = Runner.prepare ?policy shape in
   let program = Runner.program r in
   let layout = Runner.default_layout r in
+  let train_file = saved_trace r.Runner.train in
   let u n f = { u_name = Printf.sprintf "%s/%s" name n; u_work = f } in
   [
     u "prepare" (fun () -> ignore (Runner.prepare ?policy shape));
@@ -76,6 +86,14 @@ let bench_units ?policy name =
           (Trg_place.Hkc.place r.Runner.config program ~wcg:r.Runner.wcg
              ~popularity:r.Runner.prof.Trg_place.Gbsc.popularity));
     u "sim-test" (fun () -> ignore (Runner.test_miss_rate r layout));
+    (* Last, and profiling before loading: the allocation meter settles
+       the major heap's words late, so a unit that builds large arrays
+       there (the profile's graphs) shifts words into the unit measured
+       after it.  Here that is [trace-load], which has no older figures
+       to be compared with. *)
+    u "profile" (fun () ->
+        ignore (Trg_place.Gbsc.profile r.Runner.config program r.Runner.train));
+    u "trace-load" (fun () -> ignore (Trg_trace.Io.load train_file));
   ]
 
 (* One pool round-trip: forks [jobs] workers, ships eight trivial units

@@ -1,9 +1,10 @@
 (** The measurement suite behind [trgplace perf].
 
     A small deterministic set of units covering the pipeline's cost
-    centres — benchmark preparation, the placement algorithms (GBSC
-    under both cost engines), the trace simulator, one worker-pool
-    round-trip — each run [reps] times.  {!measure} reduces the
+    centres — benchmark preparation, loading the training trace from a
+    v3 file, GBSC profiling, the placement algorithms (GBSC under both
+    cost engines), the trace simulator, one worker-pool round-trip —
+    each run [reps] times.  {!measure} reduces the
     repetitions to median + MAD per unit and captures the deterministic
     [cost/*], [merge/*], [pool/*] and [sim/*] counters of the first
     repetition into a {!Trg_obs.Perf.record} ready for the ledger.

@@ -476,20 +476,18 @@ let run_specs options specs =
   let by_weight =
     List.stable_sort (fun (_, _, a) (_, _, b) -> compare b.u_weight a.u_weight) indexed
   in
+  (* A unit's span is named by its pool key, which is unique in the
+     batch: a heavy unit shows in the manifest as, e.g.,
+     [setassoc [small] perturb 0-3]. *)
   let tasks =
     List.map
       (fun (_, en, u) ->
-        {
-          Pool.key =
-            (match u.u_bench with
-            | Some b -> Printf.sprintf "%s [%s] %s" en b u.u_tag
-            | None -> Printf.sprintf "%s %s" en u.u_tag);
-          work =
-            (fun () ->
-              match u.u_bench with
-              | Some b -> Span.with_ b u.u_work
-              | None -> u.u_work ());
-        })
+        let key =
+          match u.u_bench with
+          | Some b -> Printf.sprintf "%s [%s] %s" en b u.u_tag
+          | None -> Printf.sprintf "%s %s" en u.u_tag
+        in
+        { Pool.key; work = (fun () -> Span.with_ key u.u_work) })
       by_weight
   in
   let outcomes = Pool.run ?jobs ?timeout ~retries ~fail_fast tasks in

@@ -72,13 +72,47 @@ let build_select ?(keep = fun _ -> true) ~capacity_bytes program trace =
         if keep proc then emit proc
       done)
 
+(* One walk, shared by every chunk profile.  Each procedure's [keep]
+   verdict, first chunk and size are looked up at its first event and
+   cached, so an event costs a range check and a shift (a division when
+   the chunk size is not a power of two).  An event that fails the range
+   check, or names a procedure the program lacks, takes
+   [Chunk.iter_range], which raises what it always has. *)
 let iter_chunks ?(keep = fun _ -> true) chunks trace f =
+  let n = Chunk.n_procs chunks in
+  let unseen = -2 and skipped = -1 in
+  (* [limit.(p)]: [p]'s size once resolved and kept. *)
+  let limit = Array.make n unseen and first = Array.make n 0 in
+  let resolve p =
+    let l = if keep p then Chunk.proc_size chunks p else skipped in
+    limit.(p) <- l;
+    first.(p) <- Chunk.first chunks p;
+    l
+  in
+  let size = Chunk.chunk_size chunks in
+  let rec log2 k = if k = 1 then 0 else 1 + log2 (k lsr 1) in
+  let shift = if size land (size - 1) = 0 then log2 size else -1 in
   for i = 0 to Trace.length trace - 1 do
     let w = Trace.packed trace i in
     let proc = Event.packed_proc w in
-    if keep proc then
-      Chunk.iter_range chunks ~proc ~offset:(Event.packed_offset w)
-        ~len:(Event.packed_len w) f
+    let offset = Event.packed_offset w and len = Event.packed_len w in
+    if proc >= n then begin
+      if keep proc then Chunk.iter_range chunks ~proc ~offset ~len f
+    end
+    else begin
+      let l = limit.(proc) in
+      let l = if l = unseen then resolve proc else l in
+      if len > 0 && offset + len <= l then begin
+        let last = offset + len - 1 in
+        let lo = if shift >= 0 then offset lsr shift else offset / size in
+        let hi = if shift >= 0 then last lsr shift else last / size in
+        let base = first.(proc) in
+        for c = base + lo to base + hi do
+          f c
+        done
+      end
+      else if l >= 0 then Chunk.iter_range chunks ~proc ~offset ~len f
+    end
   done
 
 let build_place ?keep ~capacity_bytes chunks trace =

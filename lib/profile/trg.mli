@@ -26,7 +26,7 @@ module Stream : sig
   type t
 
   val create : ?hint:int -> capacity_bytes:int -> size_of:(int -> int) -> unit -> t
-  (** [hint] (default 1024) sizes the graph {!finish} builds. *)
+  (** [hint] (default 1024) sizes the edge-count table. *)
 
   val reference : t -> int -> unit
   (** The next id of the stream; a repeat of the previous id is
@@ -34,8 +34,9 @@ module Stream : sig
       grow. *)
 
   val finish : t -> built
-  (** The TRG of the stream so far, built from the counts; the stream may
-      keep being fed afterwards. *)
+  (** The TRG of the stream so far, frozen from the counts
+      ({!Graph.Counts.to_graph}); the stream may keep being fed
+      afterwards without changing it. *)
 end
 
 val build_stream :
@@ -68,8 +69,10 @@ val iter_chunks :
 (** [iter_chunks ?keep chunks trace f] calls [f] on the id of every chunk
     each event touches, in trace order, skipping events whose procedure
     fails [keep] (by default none is skipped).  The chunk-granularity id
-    stream every chunk profile is built from; it reads packed words and
-    allocates nothing. *)
+    stream every chunk profile is built from.  It reads packed words and
+    calls [keep] once per procedure, at its first event, so [keep] must
+    be pure.  An event outside its procedure, or of a procedure the
+    program lacks, raises what {!Trg_program.Chunk.iter_range} raises. *)
 
 val build_place :
   ?keep:(int -> bool) ->

@@ -30,6 +30,10 @@ let total t = t.total
 
 let n_chunks t p = t.first.(p + 1) - t.first.(p)
 
+let n_procs t = Array.length t.sizes
+
+let proc_size t p = t.sizes.(p)
+
 let first t p = t.first.(p)
 
 let of_offset t ~proc ~offset =

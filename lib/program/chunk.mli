@@ -20,6 +20,12 @@ val total : t -> int
 val n_chunks : t -> int -> int
 (** Number of chunks of procedure [id]. *)
 
+val n_procs : t -> int
+(** Number of procedures of the program the chunks were made for. *)
+
+val proc_size : t -> int -> int
+(** Byte size of procedure [id]. *)
+
 val first : t -> int -> int
 (** Global id of chunk 0 of procedure [id]. *)
 

@@ -66,5 +66,9 @@ let check_packed w =
   ignore (packed_kind w : kind);
   check_len (packed_len w)
 
+let[@inline] packed_ok w =
+  let len = packed_len w in
+  (w lsr 61) land 3 <> 3 && len >= 1 && len <= max_len
+
 let pp ppf t =
   Format.fprintf ppf "%c p%d+%d:%d" (kind_to_char t.kind) t.proc t.offset t.len

@@ -53,6 +53,12 @@ val check_packed : int -> unit
 (** Raises [Invalid_argument] exactly when [make] would reject the fields
     of [unpack w], or [unpack] itself would, and with the same message;
     it builds no record.  The one check a word read from disk needs
-    before it can enter a trace ({!Trace.Builder.add_packed}). *)
+    before it can enter a trace ({!Trace.Builder.add}). *)
+
+val packed_ok : int -> bool
+(** [packed_ok w] is [true] exactly when {!check_packed} [w] returns: the
+    same check as an integer test, with no call or exception on its
+    path, for decoders that check every word
+    ({!Trace.Builder.add_words}). *)
 
 val pp : Format.formatter -> t -> unit

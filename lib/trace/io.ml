@@ -89,9 +89,19 @@ let read_text_body r ~version ~n =
 (* Words per decode block: 64 KB. *)
 let block_words = 8192
 
+(* A word [Event.packed_ok] rejected, reported with the message of
+   [Event.check_packed]. *)
+let bad_word what w =
+  let msg =
+    match Event.check_packed w with
+    | () -> assert false
+    | exception Invalid_argument msg -> msg
+  in
+  Fault.fail (Fault.Bad_record (Printf.sprintf "bad %s event: %s" what msg))
+
 (* The binary body decoder, every version: [n] little-endian words read
-   in 64 KB blocks, each block folded into the CRC and each word checked
-   by {!Trace.Builder.add_packed} as it is stored, so no [Event.t] is
+   in 64 KB blocks, each block folded into the CRC and then checked and
+   stored by one loop ({!Trace.Builder.add_words}), so no [Event.t] is
    built; v2 and v3 end in the CRC trailer.  The trace is sized from the
    bytes left in the file when the channel can tell, which a well-formed
    file makes exactly [n], so the builder hands its buffer over
@@ -113,14 +123,11 @@ let read_words_body r ~what ~trailer ~n =
   while !left > 0 do
     let want = 8 * min !left block_words in
     let got = Fault.Reader.input r buf ~len:want in
-    for k = 0 to (got / 8) - 1 do
-      let w = Int64.to_int (Bytes.get_int64_le buf (8 * k)) in
-      try Trace.Builder.add_packed builder w
-      with Invalid_argument msg ->
-        Fault.fail (Fault.Bad_record (Printf.sprintf "bad %s event: %s" what msg))
-    done;
+    let words = got / 8 in
+    let good = Trace.Builder.add_words builder buf words in
+    if good < words then bad_word what (Int64.to_int (Bytes.get_int64_le buf (8 * good)));
     if got < want then Fault.fail (Fault.Truncated (what ^ " trace events"));
-    left := !left - (got / 8)
+    left := !left - words
   done;
   if trailer then Fault.check_binary_trailer r;
   Trace.Builder.build builder

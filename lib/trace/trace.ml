@@ -89,19 +89,37 @@ module Builder = struct
 
   let create ?(capacity = 1024) () = { data = alloc (max capacity 1); size = 0 }
 
-  (* Growth always copies into a fresh buffer, so a buffer [build] has
-     handed over is never written again. *)
-  let add_packed b w =
-    Event.check_packed w;
-    if b.size = length b.data then begin
-      let data = alloc (2 * b.size) in
+  (* Room for [n] more events.  Growth always copies into a fresh
+     buffer, so a buffer [build] has handed over is never written
+     again. *)
+  let reserve b n =
+    if b.size + n > length b.data then begin
+      let data = alloc (Int.max (2 * b.size) (b.size + n)) in
       Array1.blit b.data (Array1.sub data 0 b.size);
       b.data <- data
-    end;
+    end
+
+  let add b event =
+    let w = Event.pack event in
+    Event.check_packed w;
+    reserve b 1;
     Array1.unsafe_set b.data b.size w;
     b.size <- b.size + 1
 
-  let add b event = add_packed b (Event.pack event)
+  let add_words b buf n =
+    reserve b n;
+    let data = b.data and base = b.size in
+    let k = ref 0 and stop = ref n in
+    while !k < !stop do
+      let w = Int64.to_int (Bytes.get_int64_le buf (8 * !k)) in
+      if Event.packed_ok w then begin
+        Array1.unsafe_set data (base + !k) w;
+        incr k
+      end
+      else stop := !k
+    done;
+    b.size <- base + !k;
+    !k
 
   let length b = b.size
 

@@ -72,11 +72,16 @@ module Builder : sig
   val create : ?capacity:int -> unit -> t
 
   val add : t -> Event.t -> unit
+  (** Raises [Invalid_argument] as {!Event.check_packed} does on the
+      packed event. *)
 
-  val add_packed : t -> int -> unit
-  (** [add_packed b w] appends the event packed as [w] ({!Event.pack}) —
-      the decoder's allocation-free entry point.  Raises
-      [Invalid_argument] as {!Event.check_packed} does. *)
+  val add_words : t -> bytes -> int -> int
+  (** [add_words b buf n] appends the [n] little-endian 64-bit words at
+      the start of [buf], each an event packed as by {!Event.pack}, in
+      one loop that grows the buffer at most once.  It stops at the
+      first word {!Event.packed_ok} rejects, leaving that word and the
+      rest unadded, and returns how many it added: [n] when every word
+      is good.  The binary trace decoder's entry point. *)
 
   val length : t -> int
 

@@ -116,14 +116,14 @@ let prop_qset_matches_reference =
 
 (* --- Trg.build_stream vs a list Q with one add_edge per increment ------- *)
 
-(* The reference builder: [Ref_q] for Q and [Graph.add_edge g p q 1.] on
-   every edge increment, into a graph with [build_stream]'s hint.  The
-   production builder counts increments and builds the graph once, so its
-   graph must match this one down to adjacency-list and hash-table order.
-   Up to 100 distinct ids give up to 4950 edges, past the count table's
-   first growth. *)
+(* The reference builder: [Ref_q] for Q and [Graph_ref.add_edge g p q 1.]
+   on every edge increment.  The production builder counts increments and
+   freezes the graph once, so its graph must match this one down to
+   adjacency order (newest edge first) and first-seen edge order.  Up to
+   100 distinct ids give up to 4950 edges, past the count table's first
+   growth. *)
 let reference_trg ~capacity ~size_of ids =
-  let g = Graph.create ~hint:1024 () in
+  let g = Graph_ref.create ~hint:1024 () in
   let q = Ref_q.create capacity size_of in
   let last = ref (-1) and populations = ref [] in
   List.iter
@@ -131,20 +131,28 @@ let reference_trg ~capacity ~size_of ids =
       if p <> !last then begin
         last := p;
         let _, between = Ref_q.reference q p in
-        List.iter (fun x -> Graph.add_edge g p x 1.) between;
+        List.iter (fun x -> Graph_ref.add_edge g p x 1.) between;
         populations := List.length q.Ref_q.q :: !populations
       end)
     ids;
   (g, ref_stats (List.rev !populations))
 
 (* Everything a consumer can observe of a graph, including the orders the
-   interface leaves unspecified. *)
+   interface promises. *)
 let graph_view g =
   let unordered = ref [] in
   Graph.iter_edges_unordered (fun u v w -> unordered := (u, v, w) :: !unordered) g;
   ( Graph.edges g,
     Graph.nodes g,
     List.map (fun u -> (u, Graph.neighbors g u)) (Graph.nodes g),
+    List.rev !unordered )
+
+let ref_view g =
+  let unordered = ref [] in
+  Graph_ref.iter_edges_unordered (fun u v w -> unordered := (u, v, w) :: !unordered) g;
+  ( Graph_ref.edges g,
+    Graph_ref.nodes g,
+    List.map (fun u -> (u, Graph_ref.neighbors g u)) (Graph_ref.nodes g),
     List.rev !unordered )
 
 let prop_trg_stream_matches_reference =
@@ -163,7 +171,72 @@ let prop_trg_stream_matches_reference =
         Trg.build_stream ~capacity_bytes:capacity ~size_of (fun emit -> List.iter emit ids)
       in
       let graph, qstats = reference_trg ~capacity ~size_of ids in
-      graph_view built.Trg.graph = graph_view graph && built.Trg.qstats = qstats)
+      graph_view built.Trg.graph = ref_view graph && built.Trg.qstats = qstats)
+
+(* --- Trg.iter_chunks vs Chunk.iter_range per event ----------------------- *)
+
+(* The chunk walk caches each procedure's [keep] verdict, first chunk and
+   size, and shifts when the chunk size is a power of two.  The reference
+   asks [keep] and calls [Chunk.iter_range] for every event.  Both must
+   emit the same ids, and an event past its procedure's end, or of a
+   procedure the program lacks, must stop both after the same ids with
+   the same exception. *)
+let prop_iter_chunks_matches_reference =
+  QCheck.Test.make ~name:"Trg.iter_chunks matches per-event iter_range" ~count:(scaled 300)
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (list_size (int_range 1 8) (int_range 1 1000))
+           (oneofl [ 1; 3; 16; 24; 32; 100; 256 ])
+           (list_size (int_range 0 200)
+              (quad (int_range 0 8) (int_range 0 1100) (int_range 1 600) (int_range 0 29)))
+           (int_range 0 255))
+       ~print:(fun (sizes, cs, events, mask) ->
+         Printf.sprintf "sizes %s, chunk %d, mask %d, events %s"
+           (QCheck.Print.(list int) sizes) cs mask
+           (QCheck.Print.(list (quad int int int int)) events)))
+    (fun (sizes, chunk_size, events, mask) ->
+      let program = Program.of_sizes (Array.of_list sizes) in
+      let n = List.length sizes in
+      let chunks = Trg_program.Chunk.make ~chunk_size program in
+      (* An event of an existing procedure is folded into its range,
+         except in modes 0 to 2: as drawn, ending one byte past the end,
+         and starting at the end. *)
+      let trace =
+        Trace.of_list
+          (List.map
+             (fun (proc, offset, len, mode) ->
+               let offset, len =
+                 if proc >= n || mode = 0 then (offset, len)
+                 else
+                   let size = List.nth sizes proc in
+                   let offset = offset mod size in
+                   match mode with
+                   | 1 -> (offset, size - offset + 1)
+                   | 2 -> (size, len)
+                   | _ -> (offset, 1 + (len mod (size - offset)))
+               in
+               Event.make ~kind:Event.Run ~proc ~offset ~len)
+             events)
+      in
+      let keep p = p >= n || (mask lsr p) land 1 = 1 in
+      let run walk =
+        let ids = ref [] in
+        let outcome =
+          match walk (fun c -> ids := c :: !ids) with
+          | () -> "ok"
+          | exception Invalid_argument msg -> msg
+        in
+        (List.rev !ids, outcome)
+      in
+      run (Trg.iter_chunks ~keep chunks trace)
+      = run (fun f ->
+            Trace.iter
+              (fun (e : Event.t) ->
+                if keep e.proc then
+                  Trg_program.Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset
+                    ~len:e.len f)
+              trace))
 
 (* --- Merge driver vs a rescan-everything reference ----------------------- *)
 
@@ -628,6 +701,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
     QCheck_alcotest.to_alcotest prop_trg_stream_matches_reference;
+    QCheck_alcotest.to_alcotest prop_iter_chunks_matches_reference;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;
     QCheck_alcotest.to_alcotest prop_direct_matches_reference;

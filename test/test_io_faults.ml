@@ -586,6 +586,170 @@ let test_bad_word_every_version () =
         ])
     [ ("binary", Io.save_binary); ("flat", Io.save_flat) ]
 
+(* --- the block decoder against a word-at-a-time reference ------------- *)
+
+(* The word-at-a-time decoder the block decoder replaced, kept as the
+   reference: parse the header, read the [n] words one by one — each
+   checked the way [Event.make] checks the fields of [Event.unpack w],
+   independently of [Event.packed_ok] — then the 4-byte CRC trailer of
+   v2 and v3. *)
+let reference_decode content =
+  let nl = String.index content '\n' in
+  let version, n =
+    Fault.parse_header ~magic:"trgplace-traceb" ~max_version:3 (String.sub content 0 nl)
+  in
+  let what = if version = 3 then "flat" else "binary" in
+  let body = nl + 1 in
+  let rec words i acc =
+    if i = n then Ok (List.rev acc)
+    else if body + (8 * (i + 1)) > String.length content then
+      Error (Fault.Truncated (what ^ " trace events"))
+    else
+      let w = Int64.to_int (String.get_int64_le content (body + (8 * i))) in
+      match
+        let e = Event.unpack w in
+        Event.make ~kind:e.Event.kind ~proc:e.Event.proc ~offset:e.Event.offset
+          ~len:e.Event.len
+      with
+      | _ -> words (i + 1) (w :: acc)
+      | exception Invalid_argument msg ->
+        Error (Fault.Bad_record (Printf.sprintf "bad %s event: %s" what msg))
+  in
+  let trailer = body + (8 * n) in
+  match words 0 [] with
+  | Error e -> Error e
+  | Ok ws when version < 2 -> Ok ws
+  | Ok _ when String.length content < trailer + 4 -> Error (Fault.Truncated "checksum trailer")
+  | Ok ws ->
+    let stored = Int32.to_int (String.get_int32_le content trailer) land 0xFFFFFFFF in
+    let computed = Checksum.string (String.sub content 0 trailer) in
+    if stored <> computed then Error (Fault.Checksum_mismatch { stored; computed }) else Ok ws
+
+(* A body of [blocks] whole 64 KB blocks plus [partial] words, in
+   [version] (1 to 3), with [bad] words damaged in place — (word index,
+   damage): kind 3, len 0 or len 2^22 + 1 — the CRC trailer of v2 and v3
+   recomputed over the damage (then flipped unless [crc_ok]), and the
+   file cut [cut] bytes after the header, if at all. *)
+type decode_case = {
+  version : int;
+  blocks : int;
+  partial : int;
+  seed : int;
+  bad : (int * int) list;
+  cut : int option;
+  crc_ok : bool;
+}
+
+let n_words c = (8192 * c.blocks) + c.partial
+
+let damage kind w =
+  match kind with
+  | 0 -> w lor (3 lsl 61)
+  | 1 -> w land lnot 0x7FFFFF
+  | _ -> (w land lnot 0x7FFFFF) lor ((1 lsl 22) + 1)
+
+let decode_content c =
+  let n = n_words c in
+  let rng = Random.State.make [| c.seed |] in
+  let trace =
+    Trace.of_list
+      (List.init n (fun _ ->
+           ev
+             (match Random.State.int rng 3 with
+             | 0 -> Event.Enter
+             | 1 -> Event.Resume
+             | _ -> Event.Run)
+             (Random.State.int rng (1 lsl 14))
+             (Random.State.int rng (1 lsl 24))
+             (1 + Random.State.int rng (1 lsl 22))))
+  in
+  let saved =
+    with_temp (fun path ->
+        if c.version = 3 then Io.save_flat path trace else Io.save_binary path trace;
+        read_file path)
+  in
+  let saved =
+    if c.version > 1 then saved
+    else
+      (* v1: the v2 body without its trailer, under a version-1 header. *)
+      let nl = String.index saved '\n' in
+      Printf.sprintf "trgplace-traceb 1 %d" n
+      ^ String.sub saved nl (String.length saved - nl - 4)
+  in
+  let b = Bytes.of_string saved in
+  let body = String.index saved '\n' + 1 in
+  List.iter
+    (fun (i, kind) ->
+      let at = body + (8 * i) in
+      Bytes.set_int64_le b at
+        (Int64.of_int (damage kind (Int64.to_int (Bytes.get_int64_le b at)))))
+    c.bad;
+  if c.version > 1 then begin
+    let trailer = body + (8 * n) in
+    let crc = Checksum.bytes b ~pos:0 ~len:trailer in
+    Bytes.set_int32_le b trailer (Int32.of_int (if c.crc_ok then crc else crc lxor 1))
+  end;
+  let content = Bytes.to_string b in
+  match c.cut with Some k -> String.sub content 0 (body + k) | None -> content
+
+let gen_decode_case =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun version ->
+    int_range 0 3 >>= fun blocks ->
+    int_range 0 8191 >>= fun partial ->
+    let n = (8192 * blocks) + partial in
+    let tail = (8 * n) + if version > 1 then 4 else 0 in
+    opt (int_range 0 (max 0 (tail - 1))) >>= fun cut ->
+    (* Half the bad words land just before the cut, often in the short
+       block the cut leaves. *)
+    let near =
+      match cut with
+      | Some k when k >= 8 -> map (fun d -> max 0 ((k / 8) - 1 - d)) (int_range 0 40)
+      | _ -> int_range 0 (max 0 (n - 1))
+    in
+    let bad_word = pair (oneof [ near; int_range 0 (max 0 (n - 1)) ]) (int_range 0 2) in
+    (if n = 0 then return [] else list_size (int_range 0 2) bad_word) >>= fun bad ->
+    map2
+      (fun seed crc_ok -> { version; blocks; partial; seed; bad; cut; crc_ok })
+      (int_bound 1_000_000) (frequency [ (4, return true); (1, return false) ]))
+
+let print_decode_case c =
+  Printf.sprintf "v%d, %d blocks + %d words, seed %d, bad [%s], cut %s, crc %b" c.version
+    c.blocks c.partial c.seed
+    (String.concat "; " (List.map (fun (i, k) -> Printf.sprintf "%d:%d" i k) c.bad))
+    (match c.cut with Some k -> string_of_int k | None -> "none")
+    c.crc_ok
+
+let prop_block_decoder_matches_reference =
+  QCheck.Test.make ~name:"block decoder = word-at-a-time reference" ~count:60
+    (QCheck.make gen_decode_case ~print:print_decode_case)
+    (fun c ->
+      let content = decode_content c in
+      let loaded =
+        with_temp (fun path ->
+            write_file path content;
+            Result.map
+              (fun t -> List.init (Trace.length t) (Trace.packed t))
+              (Io.load_result path))
+      in
+      loaded = reference_decode content)
+
+(* The decoder's integer test and the check it stands for agree,
+   including at the edges of the length field and on kind 3. *)
+let prop_packed_ok_is_check_packed =
+  QCheck.Test.make ~name:"Event.packed_ok = Event.check_packed" ~count:2000
+    QCheck.(
+      make
+        Gen.(
+          map3
+            (fun kind len rest -> (kind lsl 61) lor (rest lsl 23) lor len)
+            (int_range 0 3)
+            (oneof [ int_range 0 3; int_range ((1 lsl 22) - 2) ((1 lsl 22) + 2); int_bound 0x7FFFFF ])
+            (int_bound ((1 lsl 38) - 1))))
+    (fun w ->
+      Event.packed_ok w
+      = match Event.check_packed w with () -> true | exception Invalid_argument _ -> false)
+
 (* Regression for the out-of-bounds write in [Serial.read_layout]: an
    unvalidated proc id used to index the address array directly and
    escape as [Invalid_argument "index out of bounds"]. *)
@@ -775,6 +939,8 @@ let suite =
     Alcotest.test_case "v3 bad word before truncation" `Quick test_flat_fault_order;
     Alcotest.test_case "hostile word count is truncation" `Quick test_hostile_word_count;
     Alcotest.test_case "bad word rejected by every version" `Quick test_bad_word_every_version;
+    QCheck_alcotest.to_alcotest prop_block_decoder_matches_reference;
+    QCheck_alcotest.to_alcotest prop_packed_ok_is_check_packed;
     Alcotest.test_case "layout id out of range" `Quick test_layout_id_out_of_range;
     Alcotest.test_case "layout duplicate id" `Quick test_layout_duplicate_id;
     Alcotest.test_case "verify layout structural" `Quick test_verify_layout_structural;

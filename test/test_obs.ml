@@ -657,6 +657,40 @@ let test_failed_benchmark_in_manifest () =
           Alcotest.(check bool) "manifest carries the failed benchmark" true
             (List.exists failed_bench spans)))
 
+(* Each pool unit records one span named by its pool key, so the units
+   of a batch are told apart in the manifest.  The prepare span keeps the
+   benchmark's name (the test above reads it). *)
+let test_unit_spans_named_by_key () =
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_enabled false;
+      Span.reset ())
+    (fun () ->
+      Span.set_enabled true;
+      Span.reset ();
+      let failures = Report.figure5 Report.quick_options in
+      Alcotest.(check int) "no failures" 0 (List.length failures);
+      let module F = Trg_eval.Figure5 in
+      let expected =
+        List.map
+          (fun tag -> "figure5 [small] " ^ tag)
+          ("default" :: List.map F.algo_name [ F.PH; F.HKC; F.GBSC ])
+      in
+      let records = Span.records () in
+      let units =
+        List.filter_map
+          (fun r ->
+            if String.starts_with ~prefix:"figure5 " r.Span.name then Some r.Span.name
+            else None)
+          records
+      in
+      Alcotest.(check (list string)) "one span per unit, named by its key"
+        (List.sort compare expected) (List.sort compare units);
+      Alcotest.(check int) "no two names the same" (List.length units)
+        (List.length (List.sort_uniq compare units));
+      Alcotest.(check bool) "prepare span keeps the benchmark's name" true
+        (List.exists (fun r -> r.Span.name = "small") records))
+
 (* After a successful quick experiment, the work counters the acceptance
    criteria name (cache-sim misses, GBSC merge steps) must be non-zero. *)
 let test_counters_populated_by_run () =
@@ -941,6 +975,7 @@ let suite =
     Alcotest.test_case "perf gate band edge" `Quick test_perf_gate_band_edge;
     Alcotest.test_case "perf counters jobs-invariant" `Quick test_perf_counters_jobs_invariant;
     Alcotest.test_case "failed benchmark in manifest" `Quick test_failed_benchmark_in_manifest;
+    Alcotest.test_case "unit spans named by pool key" `Quick test_unit_spans_named_by_key;
     Alcotest.test_case "run populates counters" `Quick test_counters_populated_by_run;
     Alcotest.test_case "prof off-path is silent" `Quick test_prof_off_path_is_silent;
     Alcotest.test_case "journal state machine" `Quick test_journal_state_machine;

@@ -100,8 +100,7 @@ let prop_driver_partitions =
   QCheck.Test.make ~name:"driver groups partition the node set" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 15) (int_range 0 15)))
     (fun pairs ->
-      let g = Graph.create () in
-      List.iter (fun (u, v) -> if u <> v then Graph.add_edge g u v 1.) pairs;
+      let g = Graph.of_edges (List.map (fun (u, v) -> (u, v, 1.)) pairs) in
       let groups = run_driver g in
       let all = List.concat groups in
       let sorted = List.sort compare all in

@@ -265,8 +265,7 @@ let prop_perturb_preserves_structure =
   QCheck.Test.make ~name:"perturbation preserves edge set" ~count:50
     QCheck.(list_of_size (Gen.int_range 1 30) (pair (int_range 0 15) (int_range 0 15)))
     (fun pairs ->
-      let g = Graph.create () in
-      List.iter (fun (u, v) -> if u <> v then Graph.add_edge g u v 1.) pairs;
+      let g = Graph.of_edges (List.map (fun (u, v) -> (u, v, 1.)) pairs) in
       let g' = Perturb.graph (Prng.create 6) ~s:0.5 g in
       Graph.n_edges g = Graph.n_edges g'
       && List.for_all
