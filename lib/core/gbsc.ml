@@ -60,10 +60,9 @@ let profile config program trace =
   in
   let keep = Popularity.keep popularity in
   let chunks = Chunk.make ~chunk_size:config.chunk_size program in
-  let select =
-    Trg.build_select ~keep ~capacity_bytes:config.q_capacity program trace
+  let select, place =
+    Trg.build ~keep ~capacity_bytes:config.q_capacity program chunks trace
   in
-  let place = Trg.build_place ~keep ~capacity_bytes:config.q_capacity chunks trace in
   { config; tstats; popularity; chunks; select; place }
 
 let place_nodes ?decisions config program ~select ~model =

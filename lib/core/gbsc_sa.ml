@@ -61,14 +61,13 @@ let profile_tuples ?max_between ?arity (config : Gbsc.config) program trace =
   in
   let keep = Popularity.keep popularity in
   let chunks = Chunk.make ~chunk_size:config.chunk_size program in
-  let select =
-    Trg.build_select ~keep ~capacity_bytes:config.q_capacity program trace
+  let select, tplace =
+    Trg.build ~keep ~capacity_bytes:config.q_capacity program chunks trace
   in
   let tuples =
     Tuple_db.build_place ~keep ~arity ~capacity_bytes:config.q_capacity
       ?max_between chunks trace
   in
-  let tplace = Trg.build_place ~keep ~capacity_bytes:config.q_capacity chunks trace in
   {
     tconfig = config;
     tpopularity = popularity;

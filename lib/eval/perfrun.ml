@@ -86,11 +86,6 @@ let bench_units ?policy name =
           (Trg_place.Hkc.place r.Runner.config program ~wcg:r.Runner.wcg
              ~popularity:r.Runner.prof.Trg_place.Gbsc.popularity));
     u "sim-test" (fun () -> ignore (Runner.test_miss_rate r layout));
-    (* Last, and profiling before loading: the allocation meter settles
-       the major heap's words late, so a unit that builds large arrays
-       there (the profile's graphs) shifts words into the unit measured
-       after it.  Here that is [trace-load], which has no older figures
-       to be compared with. *)
     u "profile" (fun () ->
         ignore (Trg_place.Gbsc.profile r.Runner.config program r.Runner.train));
     u "trace-load" (fun () -> ignore (Trg_trace.Io.load train_file));
@@ -130,9 +125,13 @@ let unit_names ?jobs ?benches ?policy () =
 
 (* --- measurement ------------------------------------------------------- *)
 
-(* Same allocation meter as [Span]: words ever allocated, so deltas are
-   monotone and collections cannot produce negative samples. *)
+(* Words ever allocated, so deltas are monotone and collections cannot
+   produce negative samples.  The minor collection first settles the
+   counters: without it, major-heap words one unit allocated could be
+   counted only in a later unit.  [measure] reads the meter outside the
+   timed window. *)
 let allocated_words () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 

@@ -37,6 +37,12 @@ val unit_names :
 (** The unit names {!measure} would produce, e.g. ["small/gbsc-incr"],
     ["pool/roundtrip"]. *)
 
+val allocated_words : unit -> float
+(** The ledger's allocation meter: words allocated by this process so
+    far (minor + major - promoted), read after a minor collection so
+    that no unit's words are counted in a later one.  {!measure} takes
+    each unit's [alloc_w] as the difference of two reads. *)
+
 val measure :
   ?reps:int ->
   ?jobs:int ->

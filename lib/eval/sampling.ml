@@ -27,8 +27,9 @@ let run ?(window = 25_000) ?(factors = [ 2; 4; 8 ]) (r : Runner.t) =
   let keep = Popularity.keep r.Runner.prof.Gbsc.popularity in
   let chunks = r.Runner.prof.Gbsc.chunks in
   let place_from trace =
-    let select = Trg.build_select ~keep ~capacity_bytes:config.Gbsc.q_capacity program trace in
-    let place = Trg.build_place ~keep ~capacity_bytes:config.Gbsc.q_capacity chunks trace in
+    let select, place =
+      Trg.build ~keep ~capacity_bytes:config.Gbsc.q_capacity program chunks trace
+    in
     Gbsc.place_with config program ~select:select.Trg.graph
       ~model:(Cost.Trg_chunks { chunks; trg = place.Trg.graph })
   in

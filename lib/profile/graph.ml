@@ -5,20 +5,21 @@ let check id =
     invalid_arg (Printf.sprintf "Graph: node id %d out of range" id)
 
 (* Canonical packed key: smaller id in the high bits. *)
-let key u v = if u < v then (u lsl 24) lor v else (v lsl 24) lor u
+let[@inline] key u v = if u < v then (u lsl 24) lor v else (v lsl 24) lor u
 
 let low x = x land 0xFFFFFF
 
 (* Non-negative [int] keys to [int] values: open addressing with linear
    probing, at most half full.  It numbers the edges of {!Counts} and
-   indexes a frozen graph's edges and nodes.  A {!Table.snapshot} shares
-   the arrays; the next insertion into the original copies them first,
-   so a snapshot never changes. *)
+   indexes a frozen graph's edges and nodes.  A slot is two adjacent
+   words, its key and its value, so a probe that finds its key reads the
+   value from the same cache line.  A {!Table.snapshot} shares the
+   array; the next insertion into the original copies it first, so a
+   snapshot never changes. *)
 module Table = struct
   type t = {
-    mutable keys : int array; (* [free] when unused *)
-    mutable vals : int array;
-    mutable bits : int;
+    mutable slots : int array; (* key at [2s], [free] when unused; value at [2s + 1] *)
+    mutable bits : int; (* [2 lsl bits] words *)
     mutable size : int;
     mutable shared : bool;
   }
@@ -30,66 +31,59 @@ module Table = struct
     while 1 lsl !bits < 2 * hint do
       incr bits
     done;
-    {
-      keys = Array.make (1 lsl !bits) free;
-      vals = Array.make (1 lsl !bits) 0;
-      bits = !bits;
-      size = 0;
-      shared = false;
-    }
+    { slots = Array.make (2 lsl !bits) free; bits = !bits; size = 0; shared = false }
 
-  (* Fibonacci hashing: the top [bits] bits of the 63-bit product. *)
-  let find_slot t k =
-    let keys = t.keys in
-    let mask = Array.length keys - 1 in
-    let s = ref ((k * 0x9E3779B97F4A7C1) lsr (63 - t.bits)) in
-    while keys.(!s) <> k && keys.(!s) <> free do
-      s := (!s + 1) land mask
+  (* The index of [k]'s key, or of the free key where it would go.
+     Fibonacci hashing: the top [bits] bits of the 63-bit product. *)
+  let[@inline] find_slot t k =
+    let slots = t.slots in
+    let mask = Array.length slots - 2 in
+    let i = ref (((k * 0x9E3779B97F4A7C1) lsr (63 - t.bits)) lsl 1) in
+    while slots.(!i) <> k && slots.(!i) <> free do
+      i := (!i + 2) land mask
     done;
-    !s
+    !i
 
   let find t k =
     if k < 0 then -1
     else
-      let s = find_slot t k in
-      if t.keys.(s) = k then t.vals.(s) else -1
+      let i = find_slot t k in
+      if t.slots.(i) = k then t.slots.(i + 1) else -1
 
   let grow t =
-    let keys = t.keys and vals = t.vals in
+    let old = t.slots in
     t.bits <- t.bits + 1;
-    t.keys <- Array.make (1 lsl t.bits) free;
-    t.vals <- Array.make (1 lsl t.bits) 0;
+    t.slots <- Array.make (2 lsl t.bits) free;
     t.shared <- false;
-    for s = 0 to Array.length keys - 1 do
-      let k = keys.(s) in
+    for s = 0 to (Array.length old / 2) - 1 do
+      let k = old.(2 * s) in
       if k <> free then begin
-        let s' = find_slot t k in
-        t.keys.(s') <- k;
-        t.vals.(s') <- vals.(s)
+        let i = find_slot t k in
+        t.slots.(i) <- k;
+        t.slots.(i + 1) <- old.((2 * s) + 1)
       end
     done
 
   (* [k]'s value, after binding it to [v] if it had none. *)
   let find_or_add t k v =
-    let s = find_slot t k in
-    if t.keys.(s) = k then t.vals.(s)
+    let i = find_slot t k in
+    if t.slots.(i) = k then t.slots.(i + 1)
     else begin
-      let s =
-        if 2 * (t.size + 1) > Array.length t.keys then begin
+      let i =
+        if 2 * (t.size + 1) > 1 lsl t.bits then begin
           grow t;
           find_slot t k
         end
         else begin
           if t.shared then begin
-            t.keys <- Array.copy t.keys;
-            t.vals <- Array.copy t.vals;
+            t.slots <- Array.copy t.slots;
             t.shared <- false
           end;
-          s
+          i
         end
       in
-      t.keys.(s) <- k;
-      t.vals.(s) <- v;
+      t.slots.(i) <- k;
+      t.slots.(i + 1) <- v;
       t.size <- t.size + 1;
       v
     end
@@ -223,13 +217,37 @@ module Counts = struct
     if p <> q then begin
       let k = key p q in
       let tbl = t.table in
-      let s = Table.find_slot tbl k in
-      if tbl.Table.keys.(s) = k then begin
-        let e = tbl.Table.vals.(s) in
+      let i = Table.find_slot tbl k in
+      if tbl.Table.slots.(i) = k then begin
+        let e = tbl.Table.slots.(i + 1) in
         t.count.(e) <- t.count.(e) + 1
       end
       else add_new t p q k
     end
+
+  (* Q's suffix walk ({!Qset.count}) counts through here, so the hit
+     path of the probe sits inside the walk's loop: the dev build
+     compiles each module on its own, and a call per increment would
+     cost as much as the increment. *)
+  let add_chain t p ~next q =
+    let q = ref q and n = ref 0 in
+    while !q >= 0 do
+      let x = !q in
+      if (p lor x) lsr 24 = 0 && p <> x then begin
+        let k = key p x in
+        let tbl = t.table in
+        let i = Table.find_slot tbl k in
+        if tbl.Table.slots.(i) = k then begin
+          let e = tbl.Table.slots.(i + 1) in
+          t.count.(e) <- t.count.(e) + 1
+        end
+        else add_new t p x k
+      end
+      else add t p x;
+      incr n;
+      q := next.(x)
+    done;
+    !n
 
   let length t = t.table.Table.size
 

@@ -36,6 +36,15 @@ module Counts : sig
       [Invalid_argument "Graph: node id <id> out of range"].  Self-edges
       are ignored. *)
 
+  val add_chain : t -> int -> next:int array -> int -> int
+  (** [add_chain t p ~next q] calls [add t p x] for each [x] of the
+      chain [q], [next.(q)], [next.(next.(q))], ... up to the first
+      negative id, in that order, and returns how many it counted.  A
+      repeat edge costs one probe inside the loop, with no call: this
+      is how Q's counting reference ({!Qset.count}) counts the ids
+      between two occurrences of [p], which it keeps linked through
+      [next]. *)
+
   val length : t -> int
   (** Distinct edges counted so far. *)
 

@@ -1,8 +1,9 @@
 (* An intrusive doubly linked list threaded through arrays indexed by id:
    [prev.(id)]/[next.(id)] link the members, [size.(id)] caches
-   [size_of id] while [id] is resident.  A reference touches only these
-   arrays, so the per-reference path allocates nothing; the arrays grow
-   (by doubling) to the largest id seen. *)
+   [size_of id] from the first time [id] is appended (0 until then).  A
+   reference touches only these arrays, so the per-reference path
+   allocates nothing; the arrays grow (by doubling) to the largest id
+   seen. *)
 
 let nil = -1
 
@@ -55,12 +56,18 @@ let grow t id =
   t.size <- extend t.size 0
 
 let append t id =
-  let size = t.size_of id in
+  let size =
+    match t.size.(id) with
+    | 0 ->
+      let size = t.size_of id in
+      t.size.(id) <- size;
+      size
+    | size -> size
+  in
   t.prev.(id) <- t.tail;
   t.next.(id) <- nil;
   if t.tail = nil then t.head <- id else t.next.(t.tail) <- id;
   t.tail <- id;
-  t.size.(id) <- size;
   t.bytes <- t.bytes + size;
   t.count <- t.count + 1
 
@@ -106,6 +113,27 @@ let reference t p ~between =
   in
   record_step t;
   result
+
+(* [reference] with the edge counting of {!Graph.Counts.add_chain} in
+   place of [between]: the same walk over the same ids. *)
+let count t p counts =
+  if p < 0 then invalid_arg "Qset.count: negative id";
+  if p >= Array.length t.prev then grow t p;
+  let incrs =
+    if t.prev.(p) <> absent then begin
+      let incrs = Graph.Counts.add_chain counts p ~next:t.next t.next.(p) in
+      unlink t p;
+      append t p;
+      incrs
+    end
+    else begin
+      append t p;
+      evict_while_allowed t;
+      0
+    end
+  in
+  record_step t;
+  incrs
 
 let members t =
   let rec walk acc id =

@@ -18,7 +18,12 @@
     Ids must be non-negative.  Q is a doubly linked list threaded through
     arrays indexed by id, so a reference allocates nothing; the arrays are
     sized to the largest id seen, so memory is O(largest id), not
-    O(population). *)
+    O(population).
+
+    Q has two references that share everything but what they do with
+    the ids between the occurrences: {!reference} reports each one to a
+    callback, and {!count}, the TRG builders' path, counts each edge
+    straight into a {!Graph.Counts} table with no call per id. *)
 
 type t
 
@@ -29,7 +34,8 @@ type stats = {
 }
 
 val create : capacity_bytes:int -> size_of:(int -> int) -> t
-(** [size_of id] must be positive and stable for a given id.
+(** [size_of id] must be positive and stable for a given id: Q asks it
+    once, when [id] first enters, and keeps the answer.
     [capacity_bytes] must be positive (the paper uses
     [2 * cache size in bytes]). *)
 
@@ -39,6 +45,15 @@ val reference : t -> int -> between:(int -> unit) -> bool
     [between] has been called once for each distinct id between the two
     occurrences of [p], in trace order.  Raises [Invalid_argument] if
     [p < 0]. *)
+
+val count : t -> int -> Graph.Counts.t -> int
+(** [count t p counts] processes the next trace reference as
+    {!reference} does, but adds 1 to the count of the edge [{p, q}] in
+    [counts] ({!Graph.Counts.add}) for each [q] that {!reference} would
+    pass to [between], in the same order.  Returns the number of
+    increments, 0 when no previous occurrence of [p] was present.
+    Raises [Invalid_argument] if [p < 0], and as {!Graph.Counts.add}
+    does on an id out of its range. *)
 
 val members : t -> int list
 (** Current contents, least recent first. *)

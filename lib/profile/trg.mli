@@ -8,7 +8,8 @@
 
     Our placement algorithm uses two TRGs built from the same trace:
     TRG_select over whole procedures (drives merge order) and TRG_place
-    over fixed-size procedure chunks (drives cache-relative alignment). *)
+    over fixed-size procedure chunks (drives cache-relative alignment).
+    {!build} makes both in one walk over the trace. *)
 
 type built = {
   graph : Graph.t;
@@ -18,27 +19,6 @@ type built = {
 val default_chunk_size : int
 (** 256 bytes — the value the paper found to work well. *)
 
-(** An incremental builder: the Q algorithm over an id stream fed one
-    reference at a time, with integer edge counts ({!Graph.Counts}).
-    Neither {!Stream.reference} nor {!Stream.finish} touches the [trg/*]
-    metrics; {!build_stream} flushes them. *)
-module Stream : sig
-  type t
-
-  val create : ?hint:int -> capacity_bytes:int -> size_of:(int -> int) -> unit -> t
-  (** [hint] (default 1024) sizes the edge-count table. *)
-
-  val reference : t -> int -> unit
-  (** The next id of the stream; a repeat of the previous id is
-      collapsed.  Allocates only when Q's arrays or the count table
-      grow. *)
-
-  val finish : t -> built
-  (** The TRG of the stream so far, frozen from the counts
-      ({!Graph.Counts.to_graph}); the stream may keep being fed
-      afterwards without changing it. *)
-end
-
 val build_stream :
   capacity_bytes:int ->
   size_of:(int -> int) ->
@@ -46,9 +26,30 @@ val build_stream :
   built
 (** [build_stream ~capacity_bytes ~size_of feed] runs the Q algorithm over
     the id stream produced by [feed emit].  Consecutive duplicate ids are
-    collapsed.  This is the primitive the trace-level builders wrap; it is
-    exposed for tests and for custom granularities.  It is {!Stream} plus
-    one flush of the [trg/*] metrics. *)
+    collapsed.  Exposed for tests and for custom granularities; the
+    trace-level builders below do not call [emit] per id.  Flushes the
+    [trg/*] metrics once. *)
+
+val build :
+  ?keep:(int -> bool) ->
+  capacity_bytes:int ->
+  Trg_program.Program.t ->
+  Trg_program.Chunk.t ->
+  Trg_trace.Trace.t ->
+  built * built
+(** [build ?keep ~capacity_bytes program chunks trace] is
+    [(build_select ?keep ~capacity_bytes program trace,
+      build_place ?keep ~capacity_bytes chunks trace)] from one walk over
+    the trace: each event goes to the chunk-granularity stream and then
+    to the procedure-granularity one.  Each stream has its own Q and
+    count table, so the interleaving changes neither TRG, and each
+    stream's Q counts its edges itself ({!Qset.count}).  The [trg/*]
+    metrics are flushed once per TRG.  [chunks] must be [program]'s.
+
+    It fails as the two builders would, in that order: when an event
+    fails the place stream, the select stream still reads the rest of
+    the trace and flushes its metrics, and then the place stream's
+    exception is raised, unless the select stream raised its own. *)
 
 val build_select :
   ?keep:(int -> bool) ->
@@ -58,7 +59,18 @@ val build_select :
   built
 (** Procedure-granularity TRG.  [keep] filters the procedures fed to Q
     (used to restrict to popular procedures, after Hashemi et al.);
-    default keeps all. *)
+    default keeps all.  [keep] is called once per procedure, at its
+    first event, so it must be pure. *)
+
+val build_place :
+  ?keep:(int -> bool) ->
+  capacity_bytes:int ->
+  Trg_program.Chunk.t ->
+  Trg_trace.Trace.t ->
+  built
+(** Chunk-granularity TRG over global chunk ids, fed the stream of
+    {!iter_chunks}.  [keep] filters on the {e owning procedure} of each
+    chunk. *)
 
 val iter_chunks :
   ?keep:(int -> bool) ->
@@ -69,16 +81,28 @@ val iter_chunks :
 (** [iter_chunks ?keep chunks trace f] calls [f] on the id of every chunk
     each event touches, in trace order, skipping events whose procedure
     fails [keep] (by default none is skipped).  The chunk-granularity id
-    stream every chunk profile is built from.  It reads packed words and
-    calls [keep] once per procedure, at its first event, so [keep] must
-    be pure.  An event outside its procedure, or of a procedure the
-    program lacks, raises what {!Trg_program.Chunk.iter_range} raises. *)
+    stream every chunk profile is built from, walked by the same loop as
+    the TRG builders.  It reads packed words and calls [keep] once per
+    procedure, at its first event, so [keep] must be pure.  An event
+    outside its procedure, or of a procedure the program lacks, raises
+    what {!Trg_program.Chunk.iter_range} raises. *)
 
-val build_place :
-  ?keep:(int -> bool) ->
-  capacity_bytes:int ->
-  Trg_program.Chunk.t ->
-  Trg_trace.Trace.t ->
-  built
-(** Chunk-granularity TRG over global chunk ids.  [keep] filters on the
-    {e owning procedure} of each chunk. *)
+(** Both TRGs of an event stream fed one event at a time: the loop of
+    {!build} with every procedure kept, for online profiling.  Nothing
+    here touches the [trg/*] metrics. *)
+module Both : sig
+  type t
+
+  val create : capacity_bytes:int -> Trg_program.Program.t -> Trg_program.Chunk.t -> t
+
+  val event : t -> int -> unit
+  (** The next event, packed ({!Trg_trace.Event.pack}).  Allocates only
+      when Q's arrays or a count table grow.  Raises as {!build} does on
+      an event outside its procedure or of a procedure the program
+      lacks. *)
+
+  val finish : t -> built * built
+  (** The select and place TRGs of the events so far, frozen from the
+      counts ({!Graph.Counts.to_graph}); [t] may keep being fed
+      afterwards without changing them. *)
+end

@@ -52,3 +52,17 @@ val verify_layout_result : string -> (int, Trg_util.Fault.error) result
 (** Structural integrity check of a layout file without a program to
     validate against: header, records, checksum.  Returns the procedure
     count.  Used by [trgplace verify]. *)
+
+(** {2 Record lines}
+
+    The loaders' parsers for one record line.  They accept exactly the
+    lines [Scanf.sscanf line "%d %d %s@\n"] and ["%d %d"] accept, with
+    the same fields, and allocate no scanning buffer. *)
+
+val parse_program_record : string -> (int * int * string) option
+(** [Some (id, size, name)] for a program record line, before
+    {!Proc.make} checks the fields. *)
+
+val parse_layout_record : string -> (int * int) option
+(** [Some (proc, address)] for a layout record line; anything after the
+    second number is ignored. *)

@@ -122,20 +122,32 @@ let prop_qset_matches_reference =
    adjacency order (newest edge first) and first-seen edge order.  Up to
    100 distinct ids give up to 4950 edges, past the count table's first
    growth. *)
-let reference_trg ~capacity ~size_of ids =
+type ref_stream = { g : Graph_ref.t; stats : Qset.stats; refs : int; incrs : int }
+
+(* Q asks each id's size when it first enters, so the reference asks on
+   every reference: an id without a size fails at its first one. *)
+let reference_stream ~capacity ~size_of feed =
   let g = Graph_ref.create ~hint:1024 () in
   let q = Ref_q.create capacity size_of in
-  let last = ref (-1) and populations = ref [] in
-  List.iter
-    (fun p ->
+  let last = ref (-1) and populations = ref [] and refs = ref 0 and incrs = ref 0 in
+  feed (fun p ->
       if p <> !last then begin
         last := p;
+        ignore (size_of p : int);
+        incr refs;
         let _, between = Ref_q.reference q p in
-        List.iter (fun x -> Graph_ref.add_edge g p x 1.) between;
+        List.iter
+          (fun x ->
+            incr incrs;
+            Graph_ref.add_edge g p x 1.)
+          between;
         populations := List.length q.Ref_q.q :: !populations
-      end)
-    ids;
-  (g, ref_stats (List.rev !populations))
+      end);
+  { g; stats = ref_stats (List.rev !populations); refs = !refs; incrs = !incrs }
+
+let reference_trg ~capacity ~size_of ids =
+  let r = reference_stream ~capacity ~size_of (fun emit -> List.iter emit ids) in
+  (r.g, r.stats)
 
 (* Everything a consumer can observe of a graph, including the orders the
    interface promises. *)
@@ -237,6 +249,127 @@ let prop_iter_chunks_matches_reference =
                   Trg_program.Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset
                     ~len:e.len f)
               trace))
+
+(* --- Trg.build's one walk vs two reference walks ------------------------- *)
+
+(* [Trg.build] feeds both streams from one walk, each event's chunks
+   first.  The reference is what it replaces: a select walk over the
+   whole trace, its flush, then a place walk and its flush, each a list
+   Q with one [add_edge] per increment.  Both TRGs, both Q statistics
+   and the [trg/*] work must agree; on a trace the walks reject, both
+   sides must raise the same exception after the same flushes. *)
+let trg_counters =
+  List.map Metrics.counter
+    [ "trg/builds"; "trg/qset_references"; "trg/edge_increments"; "trg/qset_steps" ]
+
+let trg_qmax = Metrics.gauge "trg/qset_max_entries"
+
+(* What a build leaves: its result or its exception's message, the
+   counters it added, and the gauge after it. *)
+let trg_work f =
+  let before = List.map Metrics.value trg_counters in
+  let outcome = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  ( outcome,
+    List.map2 (fun c b -> Metrics.value c - b) trg_counters before,
+    Metrics.gauge_value trg_qmax )
+
+let reference_two_walks ~keep ~capacity program chunks trace =
+  let added = ref [ 0; 0; 0; 0 ] and qmax = ref (Metrics.gauge_value trg_qmax) in
+  let flush r =
+    added := List.map2 ( + ) !added [ 1; r.refs; r.incrs; r.stats.Qset.steps ];
+    qmax := Float.max !qmax (float_of_int r.stats.Qset.max_entries);
+    r
+  in
+  let walk size_of emit_event =
+    flush
+      (reference_stream ~capacity ~size_of (fun emit ->
+           Trace.iter (fun (e : Event.t) -> if keep e.proc then emit_event emit e) trace))
+  in
+  let outcome =
+    match
+      let select = walk (Program.size program) (fun emit (e : Event.t) -> emit e.proc) in
+      let place =
+        walk (Trg_program.Chunk.size_of chunks) (fun emit (e : Event.t) ->
+            Trg_program.Chunk.iter_range chunks ~proc:e.proc ~offset:e.offset ~len:e.len emit)
+      in
+      (ref_view select.g, select.stats, ref_view place.g, place.stats)
+    with
+    | v -> Ok v
+    | exception Invalid_argument m -> Error m
+  in
+  (outcome, !added, !qmax)
+
+(* Events are drawn from a pool of at most 60, so ids repeat and runs of
+   one event collapse.  Up to three faults go in at random places: an
+   event one or more bytes past its procedure's end, one starting at the
+   end, or one of a procedure the program lacks. *)
+let gen_walk_case =
+  QCheck.Gen.(
+    let* sizes = list_size (int_range 1 40) (int_range 1 2048) in
+    let sizes = Array.of_list sizes in
+    let n = Array.length sizes in
+    let* chunk_size = oneofl [ 32; 48; 100; 256 ] in
+    let* capacity = oneof [ int_range 32 512; int_range 512 16384 ] in
+    let* kept = array_repeat (n + 3) (frequency [ (3, return true); (1, return false) ]) in
+    let valid =
+      let* proc = int_bound (n - 1) in
+      let* offset = int_bound (sizes.(proc) - 1) in
+      let* len = int_range 1 (min 600 (sizes.(proc) - offset)) in
+      return (proc, offset, len)
+    in
+    let fault =
+      let* proc = int_bound (n - 1) in
+      let size = sizes.(proc) in
+      oneof
+        [
+          map (fun extra -> (proc, size - 1, 2 + extra)) (int_bound 40);
+          map (fun len -> (proc, size, len)) (int_range 1 40);
+          map (fun k -> (n + k, 0, 1)) (int_bound 2);
+        ]
+    in
+    let* pool = array_size (int_range 1 60) valid in
+    let* picks = list_size (int_range 0 2000) (int_bound (Array.length pool - 1)) in
+    let* faults =
+      frequency
+        [ (1, return []); (1, list_size (int_range 1 3) (pair (int_bound 2000) fault)) ]
+    in
+    let events = List.mapi (fun i k -> (i, pool.(k))) picks in
+    let events =
+      List.concat_map
+        (fun (i, e) ->
+          List.filter_map (fun (j, f) -> if i = j then Some f else None) faults @ [ e ])
+        events
+    in
+    return (sizes, chunk_size, capacity, kept, events))
+
+let prop_one_walk_matches_two_walks =
+  QCheck.Test.make ~name:"Trg.build's one walk matches two reference walks"
+    ~count:(scaled 150)
+    (QCheck.make gen_walk_case ~print:(fun (sizes, cs, capacity, kept, events) ->
+         Printf.sprintf "sizes %s, chunk %d, capacity %d, kept %s, events %s"
+           (QCheck.Print.(array int) sizes) cs capacity
+           (QCheck.Print.(array bool) kept)
+           (QCheck.Print.(list (triple int int int)) events)))
+    (fun (sizes, chunk_size, capacity, kept, events) ->
+      let program = Program.of_sizes sizes in
+      let chunks = Trg_program.Chunk.make ~chunk_size program in
+      let trace =
+        Trace.of_list
+          (List.map
+             (fun (proc, offset, len) -> Event.make ~kind:Event.Run ~proc ~offset ~len)
+             events)
+      in
+      let keep p = kept.(p) in
+      let expected = reference_two_walks ~keep ~capacity program chunks trace in
+      let got =
+        trg_work (fun () ->
+            let select, place = Trg.build ~keep ~capacity_bytes:capacity program chunks trace in
+            ( graph_view select.Trg.graph,
+              select.Trg.qstats,
+              graph_view place.Trg.graph,
+              place.Trg.qstats ))
+      in
+      got = expected)
 
 (* --- Merge driver vs a rescan-everything reference ----------------------- *)
 
@@ -702,6 +835,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
     QCheck_alcotest.to_alcotest prop_trg_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_iter_chunks_matches_reference;
+    QCheck_alcotest.to_alcotest prop_one_walk_matches_two_walks;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;
     QCheck_alcotest.to_alcotest prop_direct_matches_reference;

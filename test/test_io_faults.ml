@@ -783,6 +783,201 @@ let test_verify_layout_structural () =
       | Error e -> Alcotest.failf "wrong error: %s" (Fault.to_string e)
       | Ok _ -> Alcotest.fail "structural fault not detected")
 
+(* A file in another order than the writer's puts ids past the grown
+   array into the loader's side table; a hostile header count must not
+   size anything, and faults keep their order and messages. *)
+let test_layout_any_order () =
+  let n = 5000 in
+  let program = Program.of_sizes (Array.make n 4) in
+  let layout = Layout.default program in
+  let body =
+    String.concat ""
+      (Printf.sprintf "trgplace-layout 1 %d\n" n
+      :: List.init n (fun i ->
+             let p = n - 1 - i in
+             Printf.sprintf "%d %d\n" p (Layout.address layout p)))
+  in
+  with_temp (fun path ->
+      write_file path body;
+      match Serial.load_layout_result program path with
+      | Ok l ->
+        Alcotest.(check bool)
+          "same addresses" true
+          (Layout.addresses l = Layout.addresses layout)
+      | Error e -> Alcotest.failf "reversed layout rejected: %s" (Fault.to_string e))
+
+let test_layout_hostile_count () =
+  let verify body =
+    with_temp (fun path ->
+        write_file path body;
+        Serial.verify_layout_result path)
+  in
+  let huge = 1 lsl 40 in
+  (match verify (Printf.sprintf "trgplace-layout 1 %d\n%d 0\n" huge (huge - 1)) with
+  | Error (Fault.Truncated "layout records") -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Fault.to_string e)
+  | Ok _ -> Alcotest.fail "truncated layout accepted");
+  let body = Printf.sprintf "trgplace-layout 1 %d\n1000000000 0\n1000000000 5\nx\n" huge in
+  match verify body with
+  | Error (Fault.Bad_record m) ->
+    Alcotest.(check string) "message" "duplicate layout entry for procedure 1000000000" m
+  | Error e -> Alcotest.failf "wrong error: %s" (Fault.to_string e)
+  | Ok _ -> Alcotest.fail "duplicate accepted"
+
+(* --- record lines: hand parsers vs Scanf ------------------------------- *)
+
+(* The formats the loaders used before parsing by hand, kept as the
+   reference: the parsers must accept exactly these lines. *)
+let scanf_program line =
+  try Scanf.sscanf line "%d %d %s@\n" (fun id size name -> Some (id, size, name))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _ -> None
+
+let scanf_layout line =
+  try Scanf.sscanf line "%d %d" (fun p a -> Some (p, a))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+(* Numbers as Scanf might meet them: signs, underscores, leading zeros,
+   the ends of the int range and past them. *)
+let gen_number =
+  QCheck.Gen.(
+    oneof
+      [
+        map string_of_int (int_range (-5000) 5000);
+        map string_of_int int;
+        oneofl
+          [
+            "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+            "-4611686018427387905"; "99999999999999999999"; "0"; "-0"; "+0"; "007";
+            "1_000"; "1__0"; "1_"; "_1"; "+"; "-"; "+-1"; "--1"; "0x10"; "1e3";
+            "4_611_686_018_427_387_904"; "00000000000000000000000000042";
+          ];
+      ])
+
+let gen_chars chars n = QCheck.Gen.(string_size ~gen:(oneofl chars) (int_range 0 n))
+
+(* Scanf's blanks, and two characters that are not. *)
+let gen_blanks = gen_chars [ ' '; ' '; '\t'; '\r'; '\n'; '\011'; '\012' ] 3
+
+let gen_junk = gen_chars [ 'a'; 'x'; ' '; '_'; '-'; '+'; '7'; '\n'; '\r'; '\t'; '#' ] 6
+
+(* Structured lines, random bytes, and structured lines with one byte
+   inserted, deleted or replaced. *)
+let gen_record_line =
+  QCheck.Gen.(
+    let structured =
+      map
+        (fun (lead, (a, sep1, b), (sep2, junk)) -> lead ^ a ^ sep1 ^ b ^ sep2 ^ junk)
+        (triple
+           (oneofl [ ""; ""; ""; " "; "+" ])
+           (triple gen_number gen_blanks gen_number)
+           (pair gen_blanks gen_junk))
+    in
+    let mutate line =
+      let n = String.length line in
+      let* i = int_bound n in
+      let* ch = oneofl [ ' '; '\t'; '\n'; '_'; '-'; '+'; '0'; '9'; 'z'; '\r' ] in
+      let before = String.sub line 0 i and ch = String.make 1 ch in
+      let after = if i < n then String.sub line (i + 1) (n - i - 1) else "" in
+      oneofl
+        [
+          before ^ ch ^ String.sub line i (n - i) (* inserted *);
+          before ^ after (* deleted *);
+          before ^ ch ^ after (* replaced *);
+        ]
+    in
+    frequency
+      [
+        (4, structured);
+        (1, gen_chars [ '0'; '1'; '9'; ' '; '-'; '+'; '_'; '\t'; '\n'; 'a' ] 12);
+        (3, structured >>= mutate);
+      ])
+
+let prop_program_record_is_scanf =
+  QCheck.Test.make ~name:"program record parser accepts what Scanf does" ~count:3000
+    (QCheck.make gen_record_line ~print:(Printf.sprintf "%S"))
+    (fun line -> Serial.parse_program_record line = scanf_program line)
+
+let prop_layout_record_is_scanf =
+  QCheck.Test.make ~name:"layout record parser accepts what Scanf does" ~count:3000
+    (QCheck.make gen_record_line ~print:(Printf.sprintf "%S"))
+    (fun line -> Serial.parse_layout_record line = scanf_layout line)
+
+(* --- writers: byte-identical to the Printf writers --------------------- *)
+
+(* The writers as they were before, kept as the reference. *)
+let printf_artifact magic n lines =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Printf.sprintf "%s %d %d\n" magic 2 n);
+  List.iter (Buffer.add_string buf) lines;
+  Buffer.add_string buf (Fault.crc_trailer (Checksum.string (Buffer.contents buf)));
+  Buffer.contents buf
+
+let printf_program program =
+  printf_artifact "trgplace-program" (Program.n_procs program)
+    (Array.to_list
+       (Array.map
+          (fun (p : Trg_program.Proc.t) -> Printf.sprintf "%d %d %s\n" p.id p.size p.name)
+          (Program.procs program)))
+
+let printf_layout layout =
+  printf_artifact "trgplace-layout" (Layout.n_procs layout)
+    (Array.to_list
+       (Array.mapi (fun p a -> Printf.sprintf "%d %d\n" p a) (Layout.addresses layout)))
+
+let prop_writers_match_printf =
+  QCheck.Test.make ~name:"program and layout writers match the Printf writers" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (list_size (int_range 0 60)
+               (pair (int_range 1 100_000) (string_size ~gen:printable (int_range 0 12))))
+            (int_range 0 1000))
+        ~print:(fun (procs, seed) ->
+          Printf.sprintf "seed %d, procs %s" seed
+            (Print.(list (pair int string)) procs)))
+    (fun (procs, seed) ->
+      let procs =
+        List.mapi
+          (fun id (size, name) ->
+            (* Unique names without a newline, as a program requires. *)
+            let name = String.map (fun c -> if c = '\n' then '_' else c) name in
+            Trg_program.Proc.make ~id ~size ~name:(name ^ "#" ^ string_of_int id))
+          procs
+      in
+      let program = Program.make (Array.of_list procs) in
+      let layout = Layout.random (Trg_util.Prng.create seed) ~align:4 program in
+      with_temp (fun path ->
+          Serial.save_program path program;
+          let p = read_file path in
+          Serial.save_layout path layout;
+          p = printf_program program && read_file path = printf_layout layout))
+
+(* Loading go's program and layout, one job's [program.load], used to
+   cost about 280 words per line in [Scanf]. *)
+let test_load_allocation () =
+  let program = (Trg_synth.Gen.generate (Trg_synth.Bench.find "go")).Trg_synth.Gen.program in
+  let layout = Layout.default program in
+  let lines = Program.n_procs program + 2 in
+  let words f =
+    let a0 = Trg_eval.Perfrun.allocated_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Trg_eval.Perfrun.allocated_words () -. a0
+  in
+  with_temp (fun path ->
+      Serial.save_program path program;
+      let w = words (fun () -> Serial.load_program path) in
+      Alcotest.(check bool)
+        (Printf.sprintf "program: %.0f words for %d lines" w lines)
+        true
+        (w <= 40. *. float_of_int lines);
+      Serial.save_layout path layout;
+      let w = words (fun () -> Serial.load_layout program path) in
+      Alcotest.(check bool)
+        (Printf.sprintf "layout: %.0f words for %d lines" w lines)
+        true
+        (w <= 40. *. float_of_int lines))
+
 (* --- fault injector -------------------------------------------------- *)
 
 let test_injector_deterministic () =
@@ -944,6 +1139,12 @@ let suite =
     Alcotest.test_case "layout id out of range" `Quick test_layout_id_out_of_range;
     Alcotest.test_case "layout duplicate id" `Quick test_layout_duplicate_id;
     Alcotest.test_case "verify layout structural" `Quick test_verify_layout_structural;
+    Alcotest.test_case "layout records in any order" `Quick test_layout_any_order;
+    Alcotest.test_case "layout hostile count" `Quick test_layout_hostile_count;
+    QCheck_alcotest.to_alcotest prop_program_record_is_scanf;
+    QCheck_alcotest.to_alcotest prop_layout_record_is_scanf;
+    QCheck_alcotest.to_alcotest prop_writers_match_printf;
+    Alcotest.test_case "go program and layout load allocation" `Quick test_load_allocation;
     Alcotest.test_case "injector deterministic" `Quick test_injector_deterministic;
     Alcotest.test_case "injector io failures" `Quick test_injector_io_failures;
     Alcotest.test_case "injector corrupts writes" `Quick test_injector_corrupts_writes;

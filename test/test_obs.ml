@@ -603,6 +603,23 @@ let test_perf_counters_jobs_invariant () =
     (List.sort compare (Perfrun.unit_names ()))
     (List.map (fun b -> b.Perf.b_name) j1.Perf.benches)
 
+(* The ledger's meter must charge each unit its own words: a unit reads
+   the same [alloc_w] measured alone as after a unit that builds a large
+   array in the major heap, whose words an unsettled meter would count
+   late. *)
+let test_perf_meter_settled () =
+  let words f =
+    let a0 = Perfrun.allocated_words () in
+    f ();
+    Perfrun.allocated_words () -. a0
+  in
+  let unit_ () = ignore (Sys.opaque_identity (Array.to_list (Array.init 100_000 Fun.id))) in
+  let big () = ignore (Sys.opaque_identity (Array.make 1_000_000 0)) in
+  let alone = words unit_ in
+  ignore (words big : float);
+  let after = words unit_ in
+  Alcotest.(check (float 0.)) "same words alone and after a major-heap unit" alone after
+
 (* --- integration with the batch runner ------------------------------- *)
 
 (* A benchmark whose preparation fails (here via --force-fail injection)
@@ -974,6 +991,7 @@ let suite =
     Alcotest.test_case "perf ledger recovery" `Quick test_perf_ledger_recovery;
     Alcotest.test_case "perf gate band edge" `Quick test_perf_gate_band_edge;
     Alcotest.test_case "perf counters jobs-invariant" `Quick test_perf_counters_jobs_invariant;
+    Alcotest.test_case "perf meter settled between units" `Quick test_perf_meter_settled;
     Alcotest.test_case "failed benchmark in manifest" `Quick test_failed_benchmark_in_manifest;
     Alcotest.test_case "unit spans named by pool key" `Quick test_unit_spans_named_by_key;
     Alcotest.test_case "run populates counters" `Quick test_counters_populated_by_run;
