@@ -5,7 +5,8 @@
    profiling, the three placement algorithms (GBSC under both cost
    engines — the ledger is how the incremental engine's payoff, and any
    regression of it, stays visible), the trace simulator, and one pool
-   round-trip.  Each unit is
+   round-trip, all on the pair-sparse [small]; plus GBSC under both
+   engines on the pair-dense [vortex].  Each unit is
    run [reps] times; wall time and allocated words per repetition feed
    {!Trg_obs.Perf.robust}, and the deterministic [cost/*], [merge/*],
    [pool/*] and [sim/*] counters of the first repetition are captured
@@ -65,21 +66,28 @@ let saved_trace trace =
   Trg_trace.Io.save_flat path trace;
   path
 
+let unit_of name n f = { u_name = Printf.sprintf "%s/%s" name n; u_work = f }
+
+(* GBSC placement of a prepared benchmark under each cost engine. *)
+let gbsc_units name r =
+  let program = Runner.program r in
+  List.map
+    (fun (n, kind) ->
+      unit_of name n (fun () ->
+          with_engine kind (fun () ->
+              ignore (Trg_place.Gbsc.place program r.Runner.prof))))
+    [ ("gbsc-incr", Trg_place.Cost.Incr); ("gbsc-full", Trg_place.Cost.Full) ]
+
 let bench_units ?policy name =
   let shape = Trg_synth.Bench.find name in
   let r = Runner.prepare ?policy shape in
   let program = Runner.program r in
   let layout = Runner.default_layout r in
   let train_file = saved_trace r.Runner.train in
-  let u n f = { u_name = Printf.sprintf "%s/%s" name n; u_work = f } in
-  [
-    u "prepare" (fun () -> ignore (Runner.prepare ?policy shape));
-    u "gbsc-incr" (fun () ->
-        with_engine Trg_place.Cost.Incr (fun () ->
-            ignore (Trg_place.Gbsc.place program r.Runner.prof)));
-    u "gbsc-full" (fun () ->
-        with_engine Trg_place.Cost.Full (fun () ->
-            ignore (Trg_place.Gbsc.place program r.Runner.prof)));
+  let u = unit_of name in
+  u "prepare" (fun () -> ignore (Runner.prepare ?policy shape))
+  :: gbsc_units name r
+  @ [
     u "ph" (fun () -> ignore (Trg_place.Ph.place ~wcg:r.Runner.wcg program));
     u "hkc" (fun () ->
         ignore
@@ -117,8 +125,18 @@ let pool_unit ~jobs =
           outcomes);
   }
 
+(* The pair-dense benchmark, whose rows keep the incremental engine at or
+   below the full one where it has the least to gain: only its GBSC
+   placements are timed. *)
+let dense_bench = "vortex"
+
+let dense_units ?policy () =
+  gbsc_units dense_bench (Runner.prepare ?policy (Trg_synth.Bench.find dense_bench))
+
 let units ?(jobs = 2) ?(benches = default_benches) ?policy () =
-  List.concat_map (bench_units ?policy) benches @ [ pool_unit ~jobs ]
+  List.concat_map (bench_units ?policy) benches
+  @ (if List.mem dense_bench benches then [] else dense_units ?policy ())
+  @ [ pool_unit ~jobs ]
 
 let unit_names ?jobs ?benches ?policy () =
   List.map (fun u -> u.u_name) (units ?jobs ?benches ?policy ())

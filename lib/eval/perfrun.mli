@@ -4,7 +4,9 @@
     centres — benchmark preparation, loading the training trace from a
     v3 file, GBSC profiling, the placement algorithms (GBSC under both
     cost engines), the trace simulator, one worker-pool round-trip —
-    each run [reps] times.  {!measure} reduces the
+    plus GBSC under both engines on the pair-dense [vortex] (unless it
+    is one of the benches, which times all of its units), each run
+    [reps] times.  {!measure} reduces the
     repetitions to median + MAD per unit and captures the deterministic
     [cost/*], [merge/*], [pool/*] and [sim/*] counters of the first
     repetition into a {!Trg_obs.Perf.record} ready for the ledger.
@@ -35,7 +37,7 @@ val unit_names :
   unit ->
   string list
 (** The unit names {!measure} would produce, e.g. ["small/gbsc-incr"],
-    ["pool/roundtrip"]. *)
+    ["vortex/gbsc-full"], ["pool/roundtrip"]. *)
 
 val allocated_words : unit -> float
 (** The ledger's allocation meter: words allocated by this process so
