@@ -26,9 +26,20 @@
 
 type t
 
-val create : n_sets:int -> t
-(** An empty engine over a cache of [n_sets] sets.  Raises
+val create : n_sets:int -> pairs:int -> t
+(** An empty engine over a cache of [n_sets] sets, its storage sized
+    for [pairs] seeded pairs.  The pair arrays are slots of slab blocks
+    of 8192 floats (one slot of [n_sets] floats when that is larger),
+    taken as seeding needs them from the blocks of released engines or
+    else allocated straight in the major heap; seeding more pairs than
+    [pairs] still works.  A merge needs no new slot.  Raises
     [Invalid_argument] when [n_sets <= 0]. *)
+
+val release : t -> unit
+(** Hands the engine's blocks on to the engines created after it (up to
+    256 blocks are kept).  Any later use of the engine raises
+    [Invalid_argument]; releasing twice is harmless.  An engine that is
+    never released is reclaimed by the collector as usual. *)
 
 val seed_pair : t -> p1:int -> p2:int -> float array -> lo:int -> hi:int -> unit
 (** [seed_pair t ~p1 ~p2 dd ~lo ~hi] charges the pair [p1 < p2] at its

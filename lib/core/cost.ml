@@ -316,8 +316,9 @@ let[@inline] is_integer w = w = Float.trunc w && w -. w = 0.
 let seed_graph graph ~owner ~start ~lines ~n_sets =
   let n_edges = Graph.n_edges graph and weights = Graph.weights graph in
   (* Numbers the procedure pairs in first-seen order and counts their
-     edges. *)
-  let pairs = Graph.Counts.create () in
+     edges.  Sized for a quarter as many pairs as edges (the dense chunk
+     TRGs have 5 to 9 edges per pair), so the table seldom grows. *)
+  let pairs = Graph.Counts.create ~hint:(n_edges / 4) () in
   (* Each edge's pair number, or -1 for a same-owner edge: those are
      intra-node from the first merge to the last, and the full evaluator
      never charges them either. *)
@@ -328,8 +329,7 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
     let pu = owner.(x lsr 24) and pv = owner.(x land 0xFFFFFF) in
     if pu <> pv then begin
       if not (is_integer weights.(e)) then integral := false;
-      Graph.Counts.add pairs pu pv;
-      e_pair.(e) <- Graph.Counts.index pairs pu pv
+      e_pair.(e) <- Graph.Counts.number pairs pu pv
     end
   done;
   if not !integral then None
@@ -350,7 +350,7 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
         next.(q) <- next.(q) + 1
       end
     done;
-    let t = Trg_cache.Incr.create ~n_sets in
+    let t = Trg_cache.Incr.create ~n_sets ~pairs:n_pairs in
     let dd = Array.make ((3 * n_sets) + 1) 0. in
     for q = 0 to n_pairs - 1 do
       let lo = ref max_int and hi = ref 0 in
@@ -418,7 +418,7 @@ let seed_incr model program ~line_size ~n_sets =
     r
   end
 
-let best_offset cost =
+let best_offset (cost : float array) =
   let best = ref 0 in
   for i = 1 to Array.length cost - 1 do
     if cost.(i) < cost.(!best) then best := i
@@ -434,7 +434,7 @@ let node_occupancy program ~line_size ~n_sets node =
     (Node.members node);
   occ
 
-let best_offset_packed cost ~n1 ~n2 =
+let best_offset_packed (cost : float array) ~n1 ~n2 =
   let n_sets = Array.length cost in
   let overlap i =
     let count = ref 0 in

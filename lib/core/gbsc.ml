@@ -127,10 +127,13 @@ let place_nodes ?decisions config program ~select ~model =
     merged
   in
   let nodes =
-    match decisions with
-    | None -> Merge_driver.run ~graph:select ~init:Node.singleton ~merge
-    | Some decisions ->
-      Merge_driver.replay ~graph:select ~init:Node.singleton ~merge ~decisions
+    Fun.protect
+      ~finally:(fun () -> Option.iter Trg_cache.Incr.release engine)
+      (fun () ->
+        match decisions with
+        | None -> Merge_driver.run ~graph:select ~init:Node.singleton ~merge
+        | Some decisions ->
+          Merge_driver.replay ~graph:select ~init:Node.singleton ~merge ~decisions)
   in
   Metrics.add m_merge_steps !merges;
   Metrics.add m_cost_calls !cost_calls;

@@ -2,12 +2,18 @@ module Graph = Trg_profile.Graph
 module Heap = Trg_util.Heap
 module Journal = Trg_obs.Journal
 
-type 'node group = {
-  repr : int; (* original node id acting as group identity *)
-  mutable payload : 'node;
-  mutable count : int; (* original nodes absorbed *)
-  adj : (int, float) Hashtbl.t; (* neighbor repr -> combined weight *)
-}
+(* Per-group adjacency: neighbour representative (an original node id)
+   -> combined weight.  [Hashtbl.hash] with [Int.equal] puts every key in
+   the bucket the polymorphic [Hashtbl] would, and [replace] and
+   [remove] keep the same bucket discipline, so a table built by the
+   same calls iterates in the same order: the order [apply_merge]
+   re-pushes edges in, which breaks ties between equal weights. *)
+module Adj = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 (* Telemetry: heap churn of the greedy merge loop, flushed once per run. *)
 let m_runs = Trg_obs.Metrics.counter "merge/runs"
@@ -29,36 +35,64 @@ let h_merge_us =
        "prof/merge/merge_us")
 
 (* The working state shared by the greedy run and the forced-choice
-   replay: live groups keyed by representative, plus the union-find that
-   maps original node ids to their current representative. *)
+   replay, over the graph's dense node numbers ({!Graph.node_index}): a
+   group is named by the number of its representative, the original
+   node that stays fixed through every merge into it.  A number is a
+   live group's iff it is its own union-find parent. *)
 type 'node state = {
-  groups : (int, 'node group) Hashtbl.t;
-  parent : (int, int) Hashtbl.t;
+  graph : Graph.t;
+  parent : int array; (* union-find *)
+  count : int array; (* original nodes absorbed, for a live group *)
+  payload : 'node array;
+  adj : float Adj.t array; (* a live group's adjacency, keyed by original id *)
 }
 
-let rec find st id =
-  let p = Hashtbl.find st.parent id in
-  if p = id then id
+let id st i = Graph.node_id st.graph i
+
+let index st id = Graph.node_index st.graph id
+
+let rec find st i =
+  let p = st.parent.(i) in
+  if p = i then i
   else begin
     let root = find st p in
-    Hashtbl.replace st.parent id root;
+    st.parent.(i) <- root;
     root
   end
 
+let live st i = st.parent.(i) = i
+
+(* Heap payloads: the two groups' numbers, packed as the graph packs an
+   edge's ends (numbers are below [Graph.max_id]). *)
+let[@inline] pack a b = (a lsl 24) lor b
+
+(* [init] sees the nodes in ascending id order, and the edges enter the
+   adjacency tables (and [on_edge]) in canonical [(u, v)] order. *)
 let init_state ~graph ~init ~on_edge =
-  let st = { groups = Hashtbl.create 64; parent = Hashtbl.create 64 } in
-  List.iter
-    (fun id ->
-      Hashtbl.replace st.parent id id;
-      Hashtbl.replace st.groups id
-        { repr = id; payload = init id; count = 1; adj = Hashtbl.create 8 })
-    (Graph.nodes graph);
+  let n = Graph.n_nodes graph in
+  let payload =
+    match Graph.nodes graph with
+    | [] -> [||]
+    | first :: rest ->
+      let payload = Array.make n (init first) in
+      List.iter (fun v -> payload.(Graph.node_index graph v) <- init v) rest;
+      payload
+  in
+  let st =
+    {
+      graph;
+      parent = Array.init n Fun.id;
+      count = Array.make n 1;
+      payload;
+      adj = Array.init n (fun _ -> Adj.create 8);
+    }
+  in
   Graph.iter_edges
     (fun u v w ->
-      let gu = Hashtbl.find st.groups u and gv = Hashtbl.find st.groups v in
-      Hashtbl.replace gu.adj v w;
-      Hashtbl.replace gv.adj u w;
-      on_edge u v w)
+      let a = index st u and b = index st v in
+      Adj.replace st.adj.(a) v w;
+      Adj.replace st.adj.(b) u w;
+      on_edge a b w)
     graph;
   st
 
@@ -68,121 +102,137 @@ let init_state ~graph ~init ~on_edge =
    heap, the replay has no heap to maintain. *)
 let apply_merge st ~merge ~on_combined gu gv =
   let big, small =
-    if gu.count > gv.count || (gu.count = gv.count && gu.repr < gv.repr) then
-      (gu, gv)
+    if
+      st.count.(gu) > st.count.(gv)
+      || (st.count.(gu) = st.count.(gv) && id st gu < id st gv)
+    then (gu, gv)
     else (gv, gu)
   in
-  big.payload <- merge big.payload small.payload;
-  big.count <- big.count + small.count;
-  Hashtbl.replace st.parent small.repr big.repr;
-  Hashtbl.remove st.groups small.repr;
-  Hashtbl.remove big.adj small.repr;
-  Hashtbl.remove small.adj big.repr;
+  let big_id = id st big and small_id = id st small in
+  st.payload.(big) <- merge st.payload.(big) st.payload.(small);
+  st.count.(big) <- st.count.(big) + st.count.(small);
+  st.parent.(small) <- big;
+  let big_adj = st.adj.(big) and small_adj = st.adj.(small) in
+  Adj.remove big_adj small_id;
+  Adj.remove small_adj big_id;
   (* Re-point the absorbed group's edges at the survivor. *)
-  Hashtbl.iter
+  Adj.iter
     (fun n wn ->
-      let rn = find st n in
-      if rn <> big.repr then begin
-        let gn = Hashtbl.find st.groups rn in
+      let rn = find st (index st n) in
+      if rn <> big then begin
+        let rn_id = id st rn in
         let combined =
-          match Hashtbl.find_opt big.adj rn with
-          | Some existing -> existing +. wn
-          | None -> wn
+          match Adj.find big_adj rn_id with
+          | existing -> existing +. wn
+          | exception Not_found -> wn
         in
-        Hashtbl.replace big.adj rn combined;
-        Hashtbl.replace gn.adj big.repr combined;
-        Hashtbl.remove gn.adj small.repr;
-        on_combined big.repr rn combined
+        Adj.replace big_adj rn_id combined;
+        Adj.replace st.adj.(rn) big_id combined;
+        Adj.remove st.adj.(rn) small_id;
+        on_combined big rn combined
       end)
-    small.adj;
-  big
+    small_adj
 
-(* Groups in output order: decreasing size, ties by ascending repr. *)
+(* Groups in output order: decreasing size, ties by ascending
+   representative. *)
 let finalize st =
-  let remaining = Hashtbl.fold (fun _ g acc -> g :: acc) st.groups [] in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match compare b.count a.count with 0 -> compare a.repr b.repr | c -> c)
-      remaining
-  in
-  List.map (fun g -> g.payload) sorted
+  let roots = ref [] in
+  for i = Array.length st.parent - 1 downto 0 do
+    if live st i then roots := i :: !roots
+  done;
+  List.map
+    (fun i -> st.payload.(i))
+    (List.sort
+       (fun a b ->
+         match Int.compare st.count.(b) st.count.(a) with
+         | 0 -> Int.compare (id st a) (id st b)
+         | c -> c)
+       !roots)
+
+(* Whether the heap entry [(w, x)] is stale: its groups have merged, or
+   their edge has since been combined to another weight. *)
+let current st w x =
+  let ru = find st (x lsr 24) and rv = find st (x land 0xFFFFFF) in
+  ru <> rv
+  &&
+  match Adj.find st.adj.(ru) (id st rv) with
+  | c -> c = w
+  | exception Not_found -> false
 
 (* Journal hook: one record per decision, taken BEFORE the merge mutates
    the state so sizes and adjacency are the ones the decision saw (and so
    the algorithm's merge callback can annotate this record with its offset
    choice).  The runner-up is the entry the heap would surface next if the
    winner did not exist: the heaviest non-stale entry over a different
-   group pair, ties broken by insertion ordinal exactly like [pop_max].
+   group pair, ties broken by insertion ordinal exactly like the pop.
    The scan is non-destructive ([Heap.iter_entries]) — pop/re-push would
    renumber entries and perturb later tie-breaking. *)
-let record_decision st heap ~ru ~rv ~w ~gu ~gv =
+let record_decision st heap ~ru ~rv ~w =
   let best = ref None in
-  Heap.iter_entries heap (fun prio seq (u, v) ->
-      let u' = find st u and v' = find st v in
+  Heap.iter_entries heap (fun prio seq x ->
+      let u' = find st (x lsr 24) and v' = find st (x land 0xFFFFFF) in
       if
-        u' <> v'
-        && (not ((u' = ru && v' = rv) || (u' = rv && v' = ru)))
-        &&
-        match Hashtbl.find_opt (Hashtbl.find st.groups u').adj v' with
-        | Some current -> current = prio
-        | None -> false
+        (not ((u' = ru && v' = rv) || (u' = rv && v' = ru)))
+        && current st prio x
       then
         match !best with
         | Some (bp, bs, _, _) when bp > prio || (bp = prio && bs < seq) -> ()
-        | _ -> best := Some (prio, seq, u', v'));
+        | _ -> best := Some (prio, seq, id st u', id st v'));
   let runner_up =
     Option.map
       (fun (prio, _, u', v') ->
         { Journal.r_u = min u' v'; r_v = max u' v'; r_weight = prio })
       !best
   in
-  let size_u, size_v = if ru < rv then (gu.count, gv.count) else (gv.count, gu.count) in
-  Journal.record ~u:(min ru rv) ~v:(max ru rv) ~weight:w ~size_u ~size_v
-    ?runner_up ()
+  let u = id st ru and v = id st rv in
+  let size_u, size_v =
+    if u < v then (st.count.(ru), st.count.(rv)) else (st.count.(rv), st.count.(ru))
+  in
+  Journal.record ~u:(min u v) ~v:(max u v) ~weight:w ~size_u ~size_v ?runner_up ()
 
 let run ~graph ~init ~merge =
   let pops = ref 0 and stale_pops = ref 0 and merges = ref 0 in
-  let heap = Heap.create () in
-  let st = init_state ~graph ~init ~on_edge:(fun u v w -> Heap.push heap w (u, v)) in
-  let rec loop () =
-    match Heap.pop_max heap with
-    | None -> ()
-    | Some (w, (u, v)) ->
-      incr pops;
-      let ru = find st u and rv = find st v in
-      let stale =
-        ru = rv
-        ||
-        let gu = Hashtbl.find st.groups ru in
-        match Hashtbl.find_opt gu.adj rv with
-        | Some current -> current <> w
-        | None -> true
-      in
-      if stale then incr stale_pops
-      else begin
-        incr merges;
-        let gu = Hashtbl.find st.groups ru and gv = Hashtbl.find st.groups rv in
-        if Journal.recording () then record_decision st heap ~ru ~rv ~w ~gu ~gv;
-        let t0 =
-          if Trg_obs.Prof.enabled () then Trg_util.Clock.monotonic () else 0.
-        in
-        ignore
-          (apply_merge st ~merge
-             ~on_combined:(fun a b combined -> Heap.push heap combined (a, b))
-             gu gv);
-        if Trg_obs.Prof.enabled () then
-          Trg_obs.Metrics.observe (Lazy.force h_merge_us)
-            (1e6 *. (Trg_util.Clock.monotonic () -. t0))
-      end;
-      loop ()
+  let heap = Heap.create ~capacity:(2 * Graph.n_edges graph) () in
+  let st =
+    init_state ~graph ~init ~on_edge:(fun a b w -> Heap.push heap w (pack a b))
   in
-  loop ();
+  let on_combined a b combined = Heap.push heap combined (pack a b) in
+  while not (Heap.is_empty heap) do
+    let w = Heap.max_prio heap and x = Heap.max_payload heap in
+    Heap.drop_max heap;
+    incr pops;
+    if not (current st w x) then incr stale_pops
+    else begin
+      incr merges;
+      let ru = find st (x lsr 24) and rv = find st (x land 0xFFFFFF) in
+      if Journal.recording () then record_decision st heap ~ru ~rv ~w;
+      let t0 =
+        if Trg_obs.Prof.enabled () then Trg_util.Clock.monotonic () else 0.
+      in
+      apply_merge st ~merge ~on_combined ru rv;
+      if Trg_obs.Prof.enabled () then
+        Trg_obs.Metrics.observe (Lazy.force h_merge_us)
+          (1e6 *. (Trg_util.Clock.monotonic () -. t0))
+    end
+  done;
   Trg_obs.Metrics.incr m_runs;
   Trg_obs.Metrics.add m_pops !pops;
   Trg_obs.Metrics.add m_stale !stale_pops;
   Trg_obs.Metrics.add m_merges !merges;
   finalize st
+
+(* The live groups in the order the earlier driver's group table, a
+   polymorphic [Hashtbl] filled once with every id in ascending order
+   and then only shrunk, iterated them: a table filled by the same calls
+   iterates the same way, and removals reorder nothing. *)
+let iter_groups_in_table_order st f =
+  let order = Adj.create 64 in
+  List.iter (fun v -> Adj.replace order v ()) (Graph.nodes st.graph);
+  Adj.iter
+    (fun v () ->
+      let i = index st v in
+      if live st i then f i)
+    order
 
 let replay ~graph ~init ~merge ~decisions =
   Trg_obs.Metrics.incr (Lazy.force m_replays);
@@ -192,17 +242,18 @@ let replay ~graph ~init ~merge ~decisions =
       (fun msg -> failwith (Printf.sprintf "replay: step %d: %s" step msg))
       fmt
   in
+  let on_combined _ _ _ = () in
   Array.iter
     (fun (d : Journal.decision) ->
       let step = d.Journal.step in
-      let group_of what id =
-        match Hashtbl.find_opt st.groups id with
-        | Some g -> g
-        | None -> fail step "%s %d is not a live group" what id
+      let group_of what v =
+        let i = index st v in
+        if i >= 0 && live st i then i
+        else fail step "%s %d is not a live group" what v
       in
       let gu = group_of "group" d.Journal.d_u
       and gv = group_of "group" d.Journal.d_v in
-      (match Hashtbl.find_opt gu.adj d.Journal.d_v with
+      (match Adj.find_opt st.adj.(gu) d.Journal.d_v with
       | Some w when w = d.Journal.weight -> ()
       | Some w ->
         fail step "edge (%d,%d) weighs %h, journal claims %h" d.Journal.d_u
@@ -210,15 +261,16 @@ let replay ~graph ~init ~merge ~decisions =
       | None ->
         fail step "no edge between groups %d and %d" d.Journal.d_u
           d.Journal.d_v);
-      if gu.count <> d.Journal.size_u || gv.count <> d.Journal.size_v then
-        fail step "group sizes (%d,%d) do not match journal (%d,%d)" gu.count
-          gv.count d.Journal.size_u d.Journal.size_v;
+      if st.count.(gu) <> d.Journal.size_u || st.count.(gv) <> d.Journal.size_v
+      then
+        fail step "group sizes (%d,%d) do not match journal (%d,%d)"
+          st.count.(gu) st.count.(gv) d.Journal.size_u d.Journal.size_v;
       (match d.Journal.runner_up with
       | None -> ()
       | Some r ->
         let ga = group_of "runner-up group" r.Journal.r_u in
         ignore (group_of "runner-up group" r.Journal.r_v);
-        (match Hashtbl.find_opt ga.adj r.Journal.r_v with
+        (match Adj.find_opt st.adj.(ga) r.Journal.r_v with
         | Some w when w = r.Journal.r_weight -> ()
         | Some w ->
           fail step "runner-up edge (%d,%d) weighs %h, journal claims %h"
@@ -237,17 +289,16 @@ let replay ~graph ~init ~merge ~decisions =
         Journal.record ~u:d.Journal.d_u ~v:d.Journal.d_v
           ~weight:d.Journal.weight ~size_u:d.Journal.size_u
           ~size_v:d.Journal.size_v ?runner_up:d.Journal.runner_up ();
-      ignore (apply_merge st ~merge ~on_combined:(fun _ _ _ -> ()) gu gv))
+      apply_merge st ~merge ~on_combined gu gv)
     decisions;
   (* A complete greedy run drains every mergeable edge, so a journal that
      leaves adjacency behind was cut short (or belongs to another graph). *)
-  Hashtbl.iter
-    (fun repr g ->
-      if Hashtbl.length g.adj <> 0 then
+  iter_groups_in_table_order st (fun i ->
+      let left = Adj.length st.adj.(i) in
+      if left <> 0 then
         failwith
           (Printf.sprintf
              "replay: journal ended after %d steps but group %d still has %d \
               mergeable edge(s)"
-             (Array.length decisions) repr (Hashtbl.length g.adj)))
-    st.groups;
+             (Array.length decisions) (id st i) left));
   finalize st

@@ -6,9 +6,30 @@
     summing their weights, until no edges remain.
 
     Determinism: ties in edge weight are broken by the order in which the
-    tied weights were created (initial edges in canonical [(u, v)] order,
-    then updates in merge order), so a given input graph always produces
-    the same merge sequence. *)
+    tied weights were pushed on the heap (initial edges in canonical
+    [(u, v)] order, then updates in merge order), so a given input graph
+    always produces the same merge sequence.
+
+    {b Tie-order contract.}  Within one merge, the re-pointed edges of
+    the absorbed group are pushed in the iteration order of that group's
+    adjacency table: a [Hashtbl.Make] table keyed by neighbour
+    representative (original node id) with [hash = Hashtbl.hash], whose
+    buckets are the polymorphic [Hashtbl]'s, created by [create 8] and
+    changed only by [replace] and [remove] in the order the merges make
+    them.  With
+    integral weights, ties are common, and this order decides which of
+    them pops first, hence the merge sequence, the layout and every
+    recorded journal.  Any rewrite of the driver must keep it: the
+    differential wall ["merge driver matches the Hashtbl driver, ties
+    included"] compares groups, [merge/*] counters, journals and replay
+    outcomes against the earlier polymorphic-[Hashtbl] driver, kept in
+    [test/merge_driver_ref.ml], on graphs whose weights tie everywhere.
+
+    State: union-find, group sizes, payloads and liveness live in arrays
+    over the graph's dense node numbers ({!Trg_profile.Graph.node_index}),
+    so ids may be as large as {!Trg_profile.Graph.max_id} without
+    sizing anything by them; the heap ({!Trg_util.Heap}) holds each
+    entry's two group numbers packed in one [int]. *)
 
 val run :
   graph:Trg_profile.Graph.t ->

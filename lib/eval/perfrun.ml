@@ -143,15 +143,9 @@ let unit_names ?jobs ?benches ?policy () =
 
 (* --- measurement ------------------------------------------------------- *)
 
-(* Words ever allocated, so deltas are monotone and collections cannot
-   produce negative samples.  The minor collection first settles the
-   counters: without it, major-heap words one unit allocated could be
-   counted only in a later unit.  [measure] reads the meter outside the
-   timed window. *)
-let allocated_words () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+(* The spans' settled meter; [measure] reads it outside the timed
+   window. *)
+let allocated_words = Trg_obs.Span.allocated_words
 
 (* The canonical string keeps its historical shape for LRU (the policy
    member is appended only when non-default), so every committed ledger's

@@ -40,10 +40,11 @@ val unit_names :
     ["vortex/gbsc-full"], ["pool/roundtrip"]. *)
 
 val allocated_words : unit -> float
-(** The ledger's allocation meter: words allocated by this process so
-    far (minor + major - promoted), read after a minor collection so
-    that no unit's words are counted in a later one.  {!measure} takes
-    each unit's [alloc_w] as the difference of two reads. *)
+(** The ledger's allocation meter, {!Trg_obs.Span.allocated_words}:
+    words allocated by this process so far, read after a minor
+    collection so that no unit's words are counted in a later one.
+    {!measure} takes each unit's [alloc_w] as the difference of two
+    reads. *)
 
 val measure :
   ?reps:int ->

@@ -31,8 +31,12 @@ let completed : record list ref = ref []
 (* Words ever allocated by the program: immune to collections, so deltas
    are monotone by construction.  [Gc.minor_words] reads the live young
    pointer; [quick_stat.minor_words] only advances at minor collections,
-   which would hide most of a short span's allocation in native code. *)
+   which would hide most of a short span's allocation in native code.
+   The minor collection first settles the counters: without it, words a
+   span promoted could be counted only at a later read, in a later
+   span.  Both reads of a span sit outside its timed window. *)
 let allocated_words () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
@@ -40,9 +44,8 @@ let enter name =
   let path =
     match !stack with [] -> name | top :: _ -> top.f_path ^ "/" ^ name
   in
-  stack :=
-    { f_name = name; f_path = path; t0 = Unix.gettimeofday (); alloc0 = allocated_words () }
-    :: !stack
+  let alloc0 = allocated_words () in
+  stack := { f_name = name; f_path = path; t0 = Unix.gettimeofday (); alloc0 } :: !stack
 
 let leave outcome =
   match !stack with

@@ -4,11 +4,18 @@
     check and a call, so instrumented hot paths stay benchmark-neutral.
     When enabled (e.g. by [trgplace --metrics-out]), each completed span
     records its name, nesting path, wall-clock duration and the words it
-    allocated (from [Gc.quick_stat] deltas), in completion order — an
+    allocated ({!allocated_words} deltas), in completion order — an
     inner span always precedes its parent, so the record list is a
     deterministic post-order traversal of the dynamic span tree. *)
 
 type outcome = Finished | Failed
+
+val allocated_words : unit -> float
+(** The allocation meter of spans and of the perf ledger: words
+    allocated by this process so far (minor + major - promoted), read
+    after a minor collection so that no region's words are counted in a
+    later one.  A span's [alloc_words] is the difference of two reads,
+    both taken outside its timed window. *)
 
 type record = {
   name : string;

@@ -209,21 +209,28 @@ module Counts = struct
 
   (* The hot path, a repeat of a counted edge, is one probe and no
      other call. *)
-  let add t p q =
+  let[@inline] number t p q =
     if (p lor q) lsr 24 <> 0 then begin
       check p;
       check q
     end;
-    if p <> q then begin
+    if p = q then -1
+    else begin
       let k = key p q in
       let tbl = t.table in
       let i = Table.find_slot tbl k in
       if tbl.Table.slots.(i) = k then begin
         let e = tbl.Table.slots.(i + 1) in
-        t.count.(e) <- t.count.(e) + 1
+        t.count.(e) <- t.count.(e) + 1;
+        e
       end
-      else add_new t p q k
+      else begin
+        add_new t p q k;
+        tbl.Table.size - 1
+      end
     end
+
+  let add t p q = ignore (number t p q : int)
 
   (* Q's suffix walk ({!Qset.count}) counts through here, so the hit
      path of the probe sits inside the walk's loop: the dev build
@@ -310,6 +317,10 @@ let degree t u =
 let nodes t = Lazy.force t.sorted_ids
 
 let n_nodes t = Array.length t.ids
+
+let node_index t id = Table.find t.node_of id
+
+let node_id t i = t.ids.(i)
 
 let n_edges t = Array.length t.ends
 

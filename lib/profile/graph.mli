@@ -45,6 +45,11 @@ module Counts : sig
       between two occurrences of [p], which it keeps linked through
       [next]. *)
 
+  val number : t -> int -> int -> int
+  (** [number t p q] is {!add} followed by {!index}, in one probe: it
+      adds 1 to the count of [{p, q}] and returns the edge's position,
+      or [-1], counting nothing, when [p = q]. *)
+
   val length : t -> int
   (** Distinct edges counted so far. *)
 
@@ -84,6 +89,16 @@ val nodes : t -> int list
 (** All ids that appear in at least one edge, ascending. *)
 
 val n_nodes : t -> int
+
+val node_index : t -> int -> int
+(** [node_index t id] numbers node [id] from [0] to [n_nodes t - 1], in
+    the order the graph first met its ids, or is [-1] when [id] is no
+    node of [t] (any id out of range included).  One probe of the
+    graph's node index: a caller can keep per-node state in arrays of
+    [n_nodes t] slots however large the ids are. *)
+
+val node_id : t -> int -> int
+(** [node_id t i] is the id that {!node_index} numbers [i]. *)
 
 val n_edges : t -> int
 

@@ -1,36 +1,52 @@
-(** Binary max-heap over integer-keyed items with float priorities.
+(** Binary max-heap of integer payloads with float priorities, stored as
+    three parallel arrays (priorities, insertion ordinals, payloads), so
+    a push or a pop allocates nothing but the occasional doubling of the
+    arrays.
 
-    Used by the placement algorithms to repeatedly extract the
-    heaviest-weight edge from the working graph.  Supports lazy deletion:
-    stale entries are pushed over and skipped by the caller via the payload
-    validity check it supplies. *)
+    Used by the merge driver to repeatedly extract the heaviest-weight
+    edge of the working graph, with the edge's two ends packed into the
+    payload.  Supports lazy deletion: stale entries are pushed over and
+    skipped by the caller via its own validity check.
 
-type 'a t
+    Order: the larger priority first; on equal priorities the entry
+    pushed earlier first.  Every push gets the next insertion ordinal
+    ([seq]), so the pop order is a deterministic function of the push
+    sequence, whatever the arrays' internal arrangement. *)
 
-val create : unit -> 'a t
+type t
 
-val length : 'a t -> int
+val create : ?capacity:int -> unit -> t
+(** An empty heap with room for [capacity] (default 16) entries before
+    its arrays first grow. *)
+
+val length : t -> int
 (** Number of entries currently stored (including stale ones). *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> float -> 'a -> unit
-(** [push h prio x] inserts [x] with priority [prio]. *)
+val push : t -> float -> int -> unit
+(** [push h prio x] inserts payload [x] with priority [prio]. *)
 
-val pop_max : 'a t -> (float * 'a) option
-(** Removes and returns the entry with the largest priority, or [None] if
-    the heap is empty.  Ties are broken by insertion order (earlier first),
-    which keeps greedy placement deterministic. *)
+val max_prio : t -> float
+(** The priority of the entry {!drop_max} would remove.
+    @raise Invalid_argument on an empty heap. *)
 
-val peek_max : 'a t -> (float * 'a) option
+val max_payload : t -> int
+(** The payload of the entry {!drop_max} would remove.
+    @raise Invalid_argument on an empty heap. *)
 
-val iter_entries : 'a t -> (float -> int -> 'a -> unit) -> unit
-(** [iter_entries h f] calls [f prio seq payload] for every stored entry —
-    including stale ones — in unspecified order, without disturbing the
-    heap.  [seq] is the entry's insertion ordinal, the same tie-breaker
-    {!pop_max} uses, so a caller can reconstruct exactly which entry the
-    next pop would surface (largest [prio], then smallest [seq]) after
-    filtering stale entries with its own validity check.  Used by the
-    merge driver's decision journal to find the runner-up candidate
-    non-destructively: popping and re-pushing would renumber entries and
-    change tie-breaking. *)
+val drop_max : t -> unit
+(** Removes the first entry in heap order: the largest priority, ties
+    broken by insertion order (earlier first).
+    @raise Invalid_argument on an empty heap. *)
+
+val iter_entries : t -> (float -> int -> int -> unit) -> unit
+(** [iter_entries h f] calls [f prio seq payload] for every stored entry
+    — including stale ones — in unspecified order, without disturbing
+    the heap.  [seq] is the entry's insertion ordinal, the same
+    tie-breaker {!drop_max} uses, so a caller can reconstruct exactly
+    which entry the next pop would surface (largest [prio], then
+    smallest [seq]) after filtering stale entries with its own validity
+    check.  Used by the merge driver's decision journal to find the
+    runner-up candidate non-destructively: popping and re-pushing would
+    renumber entries and change tie-breaking. *)

@@ -439,6 +439,151 @@ let prop_merge_driver_matches_reference =
       in
       driver_groups = reference_merge edges)
 
+(* --- Merge driver vs the Hashtbl driver, ties included -------------------- *)
+
+(* The driver on arrays against the polymorphic-[Hashtbl] driver it
+   replaced ([Merge_driver_ref]).  Integer weights from 1 to 3 make ties
+   the rule, so the pop order of equal weights, which follows the order
+   the re-pointed edges are pushed in, decides most merges.  A case is
+   built from one seed: 2 to 24 nodes, their ids dense, spread below 100
+   or sparse up to [Graph.max_id - 1]; 1 to 80 edges drawn with repeats
+   (a repeat adds its weight); one case in four has non-integral
+   weights. *)
+let driver_case seed =
+  let rng = Prng.create seed in
+  let k = Prng.int_in rng 2 24 in
+  let id_of =
+    match Prng.int rng 3 with
+    | 0 -> Fun.id
+    | 1 -> fun _ -> Prng.int rng 100
+    | _ ->
+      fun i -> if i = 0 then Graph.max_id - 1 else Prng.int rng Graph.max_id
+  in
+  let ids = Array.of_list (List.sort_uniq compare (List.init k id_of)) in
+  let n = Array.length ids in
+  let fractional = Prng.int rng 4 = 0 in
+  let weight () =
+    let w = Float.of_int (Prng.int_in rng 1 3) in
+    if fractional && Prng.bool rng then w *. 0.75 else w
+  in
+  let edges =
+    List.init (Prng.int_in rng 1 80) (fun _ ->
+        (ids.(Prng.int rng n), ids.(Prng.int rng n), weight ()))
+  in
+  Graph.of_edges edges
+
+let merge_counter_names =
+  [ "merge/runs"; "merge/heap_pops"; "merge/stale_pops"; "merge/merges"; "merge/replays" ]
+
+let merge_counters () =
+  List.map (fun name -> Metrics.value (Metrics.counter name)) merge_counter_names
+
+let qcheck_meta =
+  {
+    Trg_obs.Journal.algo = "gbsc";
+    source = "qcheck";
+    engine = "incr";
+    cache_size = 0;
+    cache_line = 0;
+    cache_assoc = 0;
+  }
+
+(* One driver call: its groups (members in merge order) or its failure
+   message, its [merge/*] counter deltas, and, when [journal], the
+   decisions it recorded. *)
+let drive ~journal f =
+  let module Journal = Trg_obs.Journal in
+  let before = merge_counters () in
+  if journal then Journal.start_recording ~meta:qcheck_meta;
+  let outcome = match f () with g -> Ok g | exception Failure m -> Error m in
+  let decisions =
+    if not journal then [||]
+    else begin
+      Journal.finish ~layout_crc:0;
+      match Journal.take () with Some j -> j.Journal.decisions | None -> [||]
+    end
+  in
+  (outcome, List.map2 ( - ) (merge_counters ()) before, decisions)
+
+let init id = [ id ]
+let merge a b = a @ b
+
+(* Corruptions of a recorded journal, picked by [kind]: a weight, an
+   absent group, a size, a runner-up weight, the last one to three
+   decisions dropped (the end-of-journal check names the first group
+   left with edges), the first decision dropped, two decisions
+   swapped. *)
+let corrupt rng (decisions : Trg_obs.Journal.decision array) kind =
+  let module Journal = Trg_obs.Journal in
+  let n = Array.length decisions in
+  let d = Array.copy decisions in
+  let i = Prng.int rng n in
+  (match kind with
+  | 0 -> d.(i) <- { d.(i) with Journal.weight = d.(i).Journal.weight +. 1. }
+  | 1 -> d.(i) <- { d.(i) with Journal.d_u = Graph.max_id + 5 }
+  | 2 -> d.(i) <- { d.(i) with Journal.size_v = d.(i).Journal.size_v + 1 }
+  | 3 -> (
+    match d.(i).Journal.runner_up with
+    | Some r ->
+      d.(i) <-
+        {
+          d.(i) with
+          Journal.runner_up = Some { r with Journal.r_weight = r.Journal.r_weight +. 0.5 };
+        }
+    | None -> ())
+  | 4 -> ()
+  | 5 -> ()
+  | _ ->
+    let j = Prng.int rng n in
+    let x = d.(i) in
+    d.(i) <- d.(j);
+    d.(j) <- x);
+  match kind with
+  | 4 -> Array.sub d 0 (Int.max 0 (n - 1 - Prng.int rng 3))
+  | 5 -> Array.sub d 1 (n - 1)
+  | _ -> d
+
+let prop_merge_driver_matches_hashtbl_reference =
+  QCheck.Test.make ~name:"merge driver matches the Hashtbl driver, ties included"
+    ~count:(scaled 300) QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let graph = driver_case seed in
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "seed %d: %s differ" seed what
+      in
+      let run () = Merge_driver.run ~graph ~init ~merge
+      and run_ref () = Merge_driver_ref.run ~graph ~init ~merge in
+      let plain, plain_counts, _ = drive ~journal:false run in
+      let ref_plain, ref_plain_counts, _ = drive ~journal:false run_ref in
+      same "groups" plain ref_plain;
+      same "merge/* counter deltas" plain_counts ref_plain_counts;
+      let armed, _, decisions = drive ~journal:true run in
+      let ref_armed, _, ref_decisions = drive ~journal:true run_ref in
+      same "armed groups" armed ref_armed;
+      same "journals" decisions ref_decisions;
+      same "armed groups and plain groups" armed plain;
+      let replay decisions () = Merge_driver.replay ~graph ~init ~merge ~decisions
+      and replay_ref decisions () =
+        Merge_driver_ref.replay ~graph ~init ~merge ~decisions
+      in
+      let check_replay what decisions =
+        let got = drive ~journal:false (replay decisions)
+        and expected = drive ~journal:false (replay_ref decisions) in
+        same what got expected;
+        got
+      in
+      (match check_replay "faithful replays" decisions with
+      | (Ok _ as groups), _, _ -> same "faithful replay and run" groups plain
+      | Error m, _, _ -> QCheck.Test.fail_reportf "seed %d: faithful replay failed: %s" seed m);
+      if Array.length decisions > 0 then begin
+        let rng = Prng.create (seed + 1) in
+        for kind = 0 to 6 do
+          ignore (check_replay (Printf.sprintf "corrupted replays (kind %d)" kind)
+                    (corrupt rng decisions kind))
+        done
+      end;
+      true)
+
 (* --- LRU simulator vs a list reference ----------------------------------- *)
 
 let prop_lru_matches_reference =
@@ -837,6 +982,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_iter_chunks_matches_reference;
     QCheck_alcotest.to_alcotest prop_one_walk_matches_two_walks;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
+    QCheck_alcotest.to_alcotest prop_merge_driver_matches_hashtbl_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;
     QCheck_alcotest.to_alcotest prop_direct_matches_reference;
     QCheck_alcotest.to_alcotest prop_reuse_matches_reference;

@@ -172,7 +172,7 @@ let test_span_nesting_and_order () =
               (r.Span.name ^ " finished") true
               (r.Span.outcome = Span.Finished))
           [ b; c; a ]
-      | records -> Alcotest.failf "expected 3 records, got %d" (List.length records))
+      | records -> Alcotest.failf "expected 4 records, got %d" (List.length records))
 
 let test_span_failure_outcome () =
   with_spans (fun () ->
@@ -208,6 +208,31 @@ let test_span_alloc_monotone () =
           (inner.Span.wall_s >= 0. && outer.Span.wall_s >= 0.
           && outer.Span.wall_s >= inner.Span.wall_s)
       | records -> Alcotest.failf "expected 2 records, got %d" (List.length records))
+
+(* A span's meter must charge it its own words, as the ledger's does its
+   units': a span reads the same [alloc_words] alone as after a span that
+   builds a large array in the major heap and one that leaves a list live
+   in the minor heap, whose words an unsettled meter would count late
+   (the unit's own minor collections promote the list). *)
+let test_span_meter_settled () =
+  with_spans (fun () ->
+      let unit_ () =
+        ignore (Sys.opaque_identity (Array.to_list (Array.init 100_000 Fun.id)))
+      in
+      let big () = ignore (Sys.opaque_identity (Array.make 1_000_000 0)) in
+      let kept = ref [] in
+      let live () = kept := List.init 50_000 Fun.id in
+      Span.with_ "unit" unit_;
+      Span.with_ "big" big;
+      Span.with_ "live" live;
+      Span.with_ "unit" unit_;
+      ignore (Sys.opaque_identity !kept);
+      match Span.records () with
+      | [ alone; _; _; after ] ->
+        Alcotest.(check (float 0.))
+          "same words alone and after a major-heap span" alone.Span.alloc_words
+          after.Span.alloc_words
+      | records -> Alcotest.failf "expected 4 records, got %d" (List.length records))
 
 (* --- manifests ------------------------------------------------------- *)
 
@@ -981,6 +1006,7 @@ let suite =
     Alcotest.test_case "span nesting and order" `Quick test_span_nesting_and_order;
     Alcotest.test_case "span failure outcome" `Quick test_span_failure_outcome;
     Alcotest.test_case "span allocation monotone" `Quick test_span_alloc_monotone;
+    Alcotest.test_case "span meter settled between spans" `Quick test_span_meter_settled;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "manifest validation rejects" `Quick test_manifest_validate_rejects;
     Alcotest.test_case "manifest schema versions" `Quick test_manifest_schema_versions;

@@ -603,3 +603,62 @@ let test_gbsc_heaviest_pair_disjoint () =
 let suite =
   suite
   @ [ Alcotest.test_case "GBSC heaviest pair disjoint" `Quick test_gbsc_heaviest_pair_disjoint ]
+
+(* Seeding integrates each pair straight into slab storage that is never
+   allocated young, so the incremental engine's pair arrays (257 words
+   each with their header) never pass through the minor heap.  Bounded
+   at 32 minor words per seeded pair, an eighth of one array, on small's
+   chunk TRG at the paper's 8 KB point. *)
+let test_seed_allocation () =
+  let w = Trg_synth.Gen.generate (Trg_synth.Bench.find "small") in
+  let program = w.Trg_synth.Gen.program in
+  let config = Gbsc.default_config () in
+  let prof = Gbsc.profile config program (Trg_synth.Gen.train_trace w) in
+  let model = Cost.Trg_chunks { chunks = prof.Gbsc.chunks; trg = prof.Gbsc.place.Trg.graph } in
+  let line_size = config.Gbsc.cache.Config.line_size in
+  let n_sets = Config.n_sets config.Gbsc.cache in
+  let seeded = Trg_obs.Metrics.counter "cost/incr/seeded_pairs" in
+  let p0 = Trg_obs.Metrics.value seeded in
+  let m0 = Gc.minor_words () in
+  let engine = Cost.seed_incr model program ~line_size ~n_sets in
+  let minor = Gc.minor_words () -. m0 in
+  let pairs = Trg_obs.Metrics.value seeded - p0 in
+  Alcotest.(check bool) "seeded" true (Option.is_some engine && pairs >= 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d pairs" minor pairs)
+    true
+    (minor <= 32. *. float_of_int pairs)
+
+(* A released engine refuses further use, and the engine seeded next on
+   its recycled blocks, which still hold the old arrays, answers as the
+   first one did. *)
+let test_incr_release () =
+  let w = Trg_synth.Gen.generate (Trg_synth.Bench.find "small") in
+  let program = w.Trg_synth.Gen.program in
+  let config = Gbsc.default_config () in
+  let prof = Gbsc.profile config program (Trg_synth.Gen.train_trace w) in
+  let model = Cost.Trg_chunks { chunks = prof.Gbsc.chunks; trg = prof.Gbsc.place.Trg.graph } in
+  let line_size = config.Gbsc.cache.Config.line_size in
+  let n_sets = Config.n_sets config.Gbsc.cache in
+  let seed () = Option.get (Cost.seed_incr model program ~line_size ~n_sets) in
+  let pairs =
+    Array.to_list (Array.map (fun (u, v, _) -> (u, v)) (Graph.edges prof.Gbsc.select.Trg.graph))
+  in
+  let costs eng =
+    List.map (fun (u, v) -> Trg_cache.Incr.cost eng ~fixed:u ~moving:v) pairs
+  in
+  let first = seed () in
+  let expected = costs first in
+  Trg_cache.Incr.release first;
+  Alcotest.(check bool) "released engine refuses use" true
+    (match Trg_cache.Incr.cost first ~fixed:0 ~moving:1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "next engine answers alike" true (costs (seed ()) = expected)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "seeding allocation" `Quick test_seed_allocation;
+      Alcotest.test_case "incr engine release" `Quick test_incr_release;
+    ]
