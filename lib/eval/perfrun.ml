@@ -4,7 +4,8 @@
    pipeline's cost centres: benchmark preparation, trace loading, GBSC
    profiling, the three placement algorithms (GBSC under both cost
    engines — the ledger is how the incremental engine's payoff, and any
-   regression of it, stays visible), the trace simulator, and one pool
+   regression of it, stays visible), the trace simulator direct-mapped
+   and 4-way, miss attribution, the skylake hierarchy, and one pool
    round-trip, all on the pair-sparse [small]; plus GBSC under both
    engines on the pair-dense [vortex].  Each unit is
    run [reps] times; wall time and allocated words per repetition feed
@@ -78,12 +79,22 @@ let gbsc_units name r =
               ignore (Trg_place.Gbsc.place program r.Runner.prof))))
     [ ("gbsc-incr", Trg_place.Cost.Incr); ("gbsc-full", Trg_place.Cost.Full) ]
 
+(* The 8 KB 4-way cache of the Section 6 experiments, and the preset
+   whose three levels run Tree-PLRU and both QLRU flavours. *)
+let cache_4way = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:4
+
+let skylake () =
+  match Trg_cache.Cpu.find "skylake" with
+  | Ok c -> c.Trg_cache.Cpu.hier
+  | Error e -> invalid_arg e
+
 let bench_units ?policy name =
   let shape = Trg_synth.Bench.find name in
   let r = Runner.prepare ?policy shape in
   let program = Runner.program r in
   let layout = Runner.default_layout r in
   let train_file = saved_trace r.Runner.train in
+  let hier = skylake () in
   let u = unit_of name in
   u "prepare" (fun () -> ignore (Runner.prepare ?policy shape))
   :: gbsc_units name r
@@ -94,6 +105,14 @@ let bench_units ?policy name =
           (Trg_place.Hkc.place r.Runner.config program ~wcg:r.Runner.wcg
              ~popularity:r.Runner.prof.Trg_place.Gbsc.popularity));
     u "sim-test" (fun () -> ignore (Runner.test_miss_rate r layout));
+    u "sim-4way" (fun () ->
+        ignore (Runner.miss_rate_on r cache_4way layout r.Runner.test));
+    u "attrib" (fun () ->
+        ignore
+          (Trg_cache.Attrib.simulate ~policy:r.Runner.policy program layout
+             r.Runner.config.Trg_place.Gbsc.cache r.Runner.test));
+    u "hierarchy" (fun () ->
+        ignore (Trg_cache.Hierarchy.simulate program layout hier r.Runner.test));
     u "profile" (fun () ->
         ignore (Trg_place.Gbsc.profile r.Runner.config program r.Runner.train));
     u "trace-load" (fun () -> ignore (Trg_trace.Io.load train_file));

@@ -3,7 +3,9 @@
     A small deterministic set of units covering the pipeline's cost
     centres — benchmark preparation, loading the training trace from a
     v3 file, GBSC profiling, the placement algorithms (GBSC under both
-    cost engines), the trace simulator, one worker-pool round-trip —
+    cost engines), the trace simulator at 8 KB direct-mapped and 4-way,
+    miss attribution at the paper's point, the [skylake] hierarchy, one
+    worker-pool round-trip —
     plus GBSC under both engines on the pair-dense [vortex] (unless it
     is one of the benches, which times all of its units), each run
     [reps] times.  {!measure} reduces the
