@@ -33,67 +33,6 @@ let m_compulsory = Trg_obs.Metrics.counter "attrib/compulsory"
 let m_capacity = Trg_obs.Metrics.counter "attrib/capacity"
 let m_conflict = Trg_obs.Metrics.counter "attrib/conflict"
 
-(* Fully-associative LRU shadow cache over line ids: a doubly-linked
-   recency list indexed by line address (same technique as Sim.paging).
-   Probing answers "would a cache of this capacity, free of placement
-   constraints, still hold the line?" — the capacity/conflict divider. *)
-module Shadow = struct
-  type s = {
-    capacity : int;
-    prev : int array;
-    next : int array;
-    resident : Bytes.t;
-    mutable head : int;
-    mutable tail : int;
-    mutable count : int;
-  }
-
-  let create ~capacity ~n_lines =
-    {
-      capacity;
-      prev = Array.make n_lines (-1);
-      next = Array.make n_lines (-1);
-      resident = Bytes.make n_lines '\000';
-      head = -1;
-      tail = -1;
-      count = 0;
-    }
-
-  let unlink s p =
-    (match s.prev.(p) with -1 -> s.head <- s.next.(p) | q -> s.next.(q) <- s.next.(p));
-    (match s.next.(p) with -1 -> s.tail <- s.prev.(p) | q -> s.prev.(q) <- s.prev.(p));
-    s.prev.(p) <- -1;
-    s.next.(p) <- -1
-
-  let push_front s p =
-    s.prev.(p) <- -1;
-    s.next.(p) <- s.head;
-    (match s.head with -1 -> s.tail <- p | h -> s.prev.(h) <- p);
-    s.head <- p
-
-  (* Probe-and-touch: returns whether [la] was resident, then makes it the
-     most recent line, evicting the least recent when full. *)
-  let access s la =
-    if Bytes.get s.resident la <> '\000' then begin
-      if s.head <> la then begin
-        unlink s la;
-        push_front s la
-      end;
-      true
-    end
-    else begin
-      if s.count = s.capacity then begin
-        let victim = s.tail in
-        unlink s victim;
-        Bytes.set s.resident victim '\000'
-      end
-      else s.count <- s.count + 1;
-      Bytes.set s.resident la '\001';
-      push_front s la;
-      false
-    end
-end
-
 (* Traces can come from files, so events are untrusted: a run extending
    past its procedure's end would produce line addresses beyond the layout
    span that [simulate]'s tables are sized by.  Checked up front so bad
@@ -134,39 +73,11 @@ let simulate ?(intervals = 60) ?(policy = Policy.Lru) program layout
      guarantees events stay inside their procedure, so the layout span
      bounds the largest address. *)
   let n_line_ids = (Layout.span layout / line_size) + 2 in
-  (* The real-cache step, shared return coding with {!Policy.Probe.access}:
-     [-2] = hit, otherwise the previous tag of the filled way.  True LRU
-     keeps the historical move-to-front tag slices (the default path is
-     operation-for-operation the pre-policy implementation); every other
-     policy runs the generic engine. *)
-  let access_line =
-    match policy with
-    | Policy.Lru ->
-      let tags = Array.make (n_sets * assoc) (-1) in
-      fun la ->
-        let set = la mod n_sets in
-        let start = set * assoc in
-        let way = ref (-1) in
-        (try
-           for w = 0 to assoc - 1 do
-             if tags.(start + w) = la then begin
-               way := w;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        let code, hit_way =
-          if !way >= 0 then (-2, !way)
-          else (tags.(start + assoc - 1), assoc - 1)
-        in
-        for w = hit_way downto 1 do
-          tags.(start + w) <- tags.(start + w - 1)
-        done;
-        tags.(start) <- la;
-        code
-    | p -> Policy.Probe.access (Policy.Probe.create p ~n_sets ~assoc)
-  in
-  let shadow = Shadow.create ~capacity ~n_lines:n_line_ids in
+  let probe = Policy.Probe.create policy ~n_sets ~assoc in
+  (* The equal-capacity fully-associative LRU shadow: would a cache free
+     of placement constraints still hold the line?  That divides capacity
+     from conflict misses. *)
+  let shadow = Policy.Full_lru.create ~capacity ~n_ids:n_line_ids in
   let seen = Bytes.make n_line_ids '\000' in
   (* last_evictor.(la): the procedure whose fill most recently displaced
      line [la] from the real cache; the "evicting procedure" of any
@@ -196,9 +107,9 @@ let simulate ?(intervals = 60) ?(policy = Policy.Lru) program layout
         if fresh then Bytes.set seen la '\001';
         (* The shadow is probed on every access so its recency order
            tracks the full reference stream, not just real-cache misses. *)
-        let shadow_hit = Shadow.access shadow la in
+        let shadow_hit = Policy.Full_lru.access shadow la in
         let set = la mod n_sets in
-        let code = access_line la in
+        let code = Policy.Probe.access probe la in
         if code <> -2 then begin
           incr misses;
           pm.(p) <- pm.(p) + 1;

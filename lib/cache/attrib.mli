@@ -1,9 +1,10 @@
 (** Miss-attribution mode of the cache simulator.
 
     The scoreboard simulator ({!Sim}) says {e how many} misses a layout
-    costs; this module says {e why}.  Alongside the real set-associative
-    LRU cache it runs a fully-associative LRU shadow cache of equal
-    capacity, which splits every miss three ways (the classic 3C model):
+    costs; this module says {e why}.  Alongside the real cache (a
+    {!Policy.Probe}) it runs a fully-associative LRU shadow cache of equal
+    capacity ({!Policy.Full_lru}), which splits every miss three ways (the
+    classic 3C model):
 
     - {b compulsory} — first touch of the line; no cache avoids it;
     - {b capacity} — the shadow cache misses too: the working set simply
@@ -76,18 +77,3 @@ val simulate :
 val conflict_row_sums : t -> int array
 (** Per-victim-procedure totals of {!t.conflict_pairs} — by construction
     equal to [per_proc.(p).p_conflicts] for every [p]. *)
-
-(** The fully-associative LRU shadow cache behind the capacity/conflict
-    divider: a doubly-linked recency list over line ids.  Exported for
-    {!Hierarchy}, which runs one shadow per level to classify that
-    level's misses. *)
-module Shadow : sig
-  type s
-
-  val create : capacity:int -> n_lines:int -> s
-  (** [capacity] lines of shadow residency over line ids [0..n_lines). *)
-
-  val access : s -> int -> bool
-  (** Probe-and-touch: whether the line was resident; it becomes the most
-      recent line either way, evicting the least recent when full. *)
-end

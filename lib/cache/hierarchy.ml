@@ -82,7 +82,7 @@ let make ~levels ~memory_cycles =
 type level_state = {
   lvl : level;
   probe : Policy.Probe.t;
-  shadow : Attrib.Shadow.s;
+  shadow : Policy.Full_lru.t;
   seen : Bytes.t;
   line_size : int;
   mutable s_accesses : int;
@@ -111,8 +111,8 @@ let simulate program layout (t : t) trace =
             Policy.Probe.create lvl.policy ~n_sets:(Config.n_sets cfg)
               ~assoc:cfg.Config.assoc;
           shadow =
-            Attrib.Shadow.create ~capacity:(Config.n_lines cfg)
-              ~n_lines:n_line_ids;
+            Policy.Full_lru.create ~capacity:(Config.n_lines cfg)
+              ~n_ids:n_line_ids;
           seen = Bytes.make n_line_ids '\000';
           line_size = cfg.Config.line_size;
           s_accesses = 0;
@@ -132,7 +132,7 @@ let simulate program layout (t : t) trace =
     st.s_accesses <- st.s_accesses + 1;
     let fresh = Bytes.get st.seen la = '\000' in
     if fresh then Bytes.set st.seen la '\001';
-    let shadow_hit = Attrib.Shadow.access st.shadow la in
+    let shadow_hit = Policy.Full_lru.access st.shadow la in
     let code = Policy.Probe.access st.probe la in
     if code = -2 then false
     else begin

@@ -56,11 +56,14 @@ module Probe = struct
     n_sets : int;
     assoc : int;
     levels : int;  (* log2 assoc, for the PLRU tree walk *)
-    tags : int array;  (* n_sets * assoc, way-indexed; -1 = invalid *)
+    tags : int array;
+        (* n_sets * assoc; -1 = invalid.  Under LRU each set's slice is
+           kept most recently used first; every other policy indexes it
+           by way. *)
     state : int array;
-        (* per-set policy state: recency ranks (LRU/MRU), the
-           round-robin pointer (FIFO), heap-indexed tree direction bits
-           (PLRU, slots 1..assoc-1) or two-bit ages (QLRU) *)
+        (* per-set policy state: recency ranks (MRU), the round-robin
+           pointer (FIFO), heap-indexed tree direction bits (PLRU, slots
+           1..assoc-1) or two-bit ages (QLRU); empty under LRU *)
   }
 
   let create kind ~n_sets ~assoc =
@@ -68,8 +71,9 @@ module Probe = struct
     if n_sets < 1 then invalid_arg "Policy.Probe.create: n_sets must be positive";
     let state =
       match kind with
+      | Lru -> [||]
       | Fifo -> Array.make n_sets 0
-      | Lru | Mru ->
+      | Mru ->
         (* Rank w for way w: cold ways are a permutation from the start;
            which cold rank a way holds never matters because invalid
            ways fill first. *)
@@ -84,6 +88,23 @@ module Probe = struct
       tags = Array.make (n_sets * assoc) (-1);
       state;
     }
+
+  (* True LRU: the referenced tag moves to the front of its set's slice.
+     On a miss the search ends at the last way, whose tag (the least
+     recent line, or -1 while the set is not full) is shifted out. *)
+  let access_lru t la =
+    let base = (la mod t.n_sets) * t.assoc in
+    let last = t.assoc - 1 in
+    let w = ref 0 in
+    while !w < last && t.tags.(base + !w) <> la do
+      incr w
+    done;
+    let code = if t.tags.(base + !w) = la then -2 else t.tags.(base + last) in
+    for w' = !w downto 1 do
+      t.tags.(base + w') <- t.tags.(base + w' - 1)
+    done;
+    t.tags.(base) <- la;
+    code
 
   (* Promote way [w] to rank 0, shifting every fresher rank down one. *)
   let rank_promote t base w =
@@ -137,32 +158,36 @@ module Probe = struct
     done;
     !way
 
+  (* [touch], [victim] and [fill] serve the way-indexed policies; LRU
+     never reaches them (see [access]). *)
   let touch t base w =
     match t.kind with
-    | Lru | Mru -> rank_promote t base w
+    | Mru -> rank_promote t base w
     | Fifo -> ()
     | Plru -> plru_touch t base w
     | Qlru_h00 -> t.state.(base + w) <- 0
     | Qlru_h11 ->
       t.state.(base + w) <-
         (if t.state.(base + w) = qlru_max_age then 1 else 0)
+    | Lru -> assert false
 
   let victim t set base =
     match t.kind with
-    | Lru -> rank_find t base (t.assoc - 1)
     | Mru -> rank_find t base 0
     | Fifo -> t.state.(set)
     | Plru -> plru_victim t base
     | Qlru_h00 | Qlru_h11 -> qlru_victim t base
+    | Lru -> assert false
 
   let fill t set base w =
     match t.kind with
-    | Lru | Mru -> rank_promote t base w
+    | Mru -> rank_promote t base w
     | Fifo -> t.state.(set) <- (w + 1) mod t.assoc
     | Plru -> plru_touch t base w
     | Qlru_h00 | Qlru_h11 -> t.state.(base + w) <- qlru_insert_age
+    | Lru -> assert false
 
-  let access t la =
+  let access_ways t la =
     let set = la mod t.n_sets in
     let base = set * t.assoc in
     let way = ref (-1) in
@@ -197,7 +222,69 @@ module Probe = struct
       old
     end
 
+  let access t la =
+    match t.kind with
+    | Lru -> access_lru t la
+    | Fifo | Mru | Plru | Qlru_h00 | Qlru_h11 -> access_ways t la
+
   let hit code = code = -2
+end
+
+(* --- fully-associative LRU ------------------------------------------------ *)
+
+module Full_lru = struct
+  type t = {
+    capacity : int;
+    prev : int array;  (* recency chain over resident ids; -1 = nil *)
+    next : int array;
+    resident : Bytes.t;
+    mutable head : int;  (* most recent *)
+    mutable tail : int;  (* least recent *)
+    mutable count : int;
+  }
+
+  let create ~capacity ~n_ids =
+    {
+      capacity;
+      prev = Array.make n_ids (-1);
+      next = Array.make n_ids (-1);
+      resident = Bytes.make n_ids '\000';
+      head = -1;
+      tail = -1;
+      count = 0;
+    }
+
+  let unlink t p =
+    (match t.prev.(p) with -1 -> t.head <- t.next.(p) | q -> t.next.(q) <- t.next.(p));
+    (match t.next.(p) with -1 -> t.tail <- t.prev.(p) | q -> t.prev.(q) <- t.prev.(p));
+    t.prev.(p) <- -1;
+    t.next.(p) <- -1
+
+  let push_front t p =
+    t.prev.(p) <- -1;
+    t.next.(p) <- t.head;
+    (match t.head with -1 -> t.tail <- p | h -> t.prev.(h) <- p);
+    t.head <- p
+
+  let access t id =
+    if Bytes.get t.resident id <> '\000' then begin
+      if t.head <> id then begin
+        unlink t id;
+        push_front t id
+      end;
+      true
+    end
+    else begin
+      if t.count = t.capacity then begin
+        let victim = t.tail in
+        unlink t victim;
+        Bytes.set t.resident victim '\000'
+      end
+      else t.count <- t.count + 1;
+      Bytes.set t.resident id '\001';
+      push_front t id;
+      false
+    end
 end
 
 (* --- brute-force references (tests only) ------------------------------- *)

@@ -54,7 +54,9 @@ val validate : kind -> assoc:int -> unit
 
 (** The optimized engine: one instance simulates a whole cache
     (tags + per-set policy state in flat int arrays, no per-access
-    allocation). *)
+    allocation).  True LRU keeps each set's tags in recency order and
+    moves a referenced tag to the front; the other policies index tags
+    by way and keep their state beside them. *)
 module Probe : sig
   type t
 
@@ -69,6 +71,22 @@ module Probe : sig
 
   val hit : int -> bool
   (** [hit (access t la)] — true on the [-2] code. *)
+end
+
+(** Fully-associative true LRU over ids [0..n_ids): a doubly-linked
+    recency list indexed by id, O(1) per reference.  {!Sim.paging} runs
+    it as the resident page set; {!Attrib} and {!Hierarchy} run it as
+    the equal-capacity shadow cache that tells capacity misses from
+    conflict misses. *)
+module Full_lru : sig
+  type t
+
+  val create : capacity:int -> n_ids:int -> t
+  (** Empty, holding at most [capacity] ids. *)
+
+  val access : t -> int -> bool
+  (** Probe-and-touch: whether the id was resident; it becomes the most
+      recent either way, evicting the least recent when full. *)
 end
 
 (** Brute-force reference implementations, used only by tests.  Same

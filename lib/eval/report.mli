@@ -1,7 +1,7 @@
 (** Top-level experiment orchestration: regenerate every table and figure.
 
-    Used by [bench/main.exe] (the full reproduction run) and the [trgplace]
-    CLI.  All entry points print their results to stdout as ASCII tables
+    Used by the [trgplace] CLI ([trgplace all --full-output] is the full
+    reproduction run).  All entry points print their results to stdout as ASCII tables
     mirroring the paper's presentation.
 
     Execution is {b sharded}: benchmark preparation and per-layout

@@ -2,8 +2,8 @@
 
     The paper's Figure 5 plots cumulative distributions of miss rates and
     Figure 6 plots metric-vs-miss scatter charts; these renderers let
-    [bench_output.txt] carry the same visual information as the paper's
-    figures, not just summary tables. *)
+    [trgplace all --full-output] carry the same visual information as the
+    paper's figures, not just summary tables. *)
 
 val markers : char array
 (** Marker assigned to each series, in order ('*', '+', 'o', 'x', ...). *)

@@ -1,8 +1,8 @@
 (** Plain-text table rendering for the experiment harness.
 
     The evaluation binaries print each reproduced paper table/figure as an
-    aligned ASCII table so [bench_output.txt] is directly comparable with
-    the paper. *)
+    aligned ASCII table so a reproduction run's output is directly
+    comparable with the paper. *)
 
 type align = Left | Right
 

@@ -5,6 +5,7 @@
 module Config = Trg_cache.Config
 module Sim = Trg_cache.Sim
 module Attrib = Trg_cache.Attrib
+module Hierarchy = Trg_cache.Hierarchy
 module Program = Trg_program.Program
 module Layout = Trg_program.Layout
 module Event = Trg_trace.Event
@@ -184,9 +185,9 @@ let test_line_align () =
         (Layout.addresses aligned))
     [ ("default", Runner.default_layout r); ("gbsc", Runner.gbsc_layout r) ]
 
-(* All four simulate entry points must feed the sim/* telemetry
-   namespace: the L1 scoreboard under sim/, the hierarchy's second level
-   under sim/l2/, paging under sim/page/. *)
+(* Every simulate entry point must feed its telemetry namespace: the
+   scoreboard under sim/, paging under sim/page/, the multi-level
+   hierarchy under hier/. *)
 let test_entry_points_feed_counters () =
   let program = Program.of_sizes [| 32; 32 |] in
   let layout = Layout.of_addresses program [| 0; 64 |] in
@@ -206,15 +207,24 @@ let test_entry_points_feed_counters () =
   ignore (Sim.simulate program layout l1 trace);
   expect_growth "simulate" l1_names before;
   let before = snap l1_names in
-  ignore (Sim.simulate_plru program layout
+  ignore (Sim.simulate ~policy:Trg_cache.Policy.Plru program layout
             (Config.make ~size:64 ~line_size:32 ~assoc:2) trace);
-  expect_growth "simulate_plru" l1_names before;
-  let l2_names = l1_names @ [ "sim/l2/accesses"; "sim/l2/misses" ] in
-  let before = snap l2_names in
-  ignore
-    (Sim.simulate_hierarchy program layout ~l1
-       ~l2:(Config.make ~size:128 ~line_size:32 ~assoc:1) trace);
-  expect_growth "simulate_hierarchy" l2_names before;
+  expect_growth "simulate plru" l1_names before;
+  let hier_names =
+    [
+      "hier/simulations"; "hier/cycles"; "hier/l1/accesses"; "hier/l1/misses";
+      "hier/l2/accesses"; "hier/l2/misses";
+    ]
+  in
+  let level config = { Hierarchy.config; policy = Trg_cache.Policy.Lru; hit_cycles = 1 } in
+  let hier =
+    Hierarchy.make
+      ~levels:[ level l1; level (Config.make ~size:128 ~line_size:32 ~assoc:1) ]
+      ~memory_cycles:10
+  in
+  let before = snap hier_names in
+  ignore (Hierarchy.simulate program layout hier trace);
+  expect_growth "hierarchy" hier_names before;
   let page_names = [ "sim/page/accesses"; "sim/page/faults" ] in
   let before = snap page_names in
   ignore (Sim.paging program layout ~page_size:64 ~frames:1 trace);

@@ -1,5 +1,6 @@
 module Config = Trg_cache.Config
 module Sim = Trg_cache.Sim
+module Policy = Trg_cache.Policy
 module Program = Trg_program.Program
 module Layout = Trg_program.Layout
 module Event = Trg_trace.Event
@@ -154,7 +155,7 @@ let test_plru_equals_direct_mapped () =
   let layout = Layout.of_addresses tiny [| 0; 32 |] in
   let trace = ref_trace [ 0; 1; 0; 1; 0 ] in
   let lru = Sim.simulate tiny layout tiny_cache trace in
-  let plru = Sim.simulate_plru tiny layout tiny_cache trace in
+  let plru = Sim.simulate ~policy:Policy.Plru tiny layout tiny_cache trace in
   Alcotest.(check int) "assoc=1: identical" lru.Sim.misses plru.Sim.misses
 
 let test_plru_two_way_basic () =
@@ -162,7 +163,10 @@ let test_plru_two_way_basic () =
      LRU. *)
   let cache2 = Config.make ~size:64 ~line_size:32 ~assoc:2 in
   let layout = Layout.of_addresses tiny [| 0; 64 |] in
-  let r = Sim.simulate_plru tiny layout cache2 (ref_trace [ 0; 1; 0; 1; 0; 1 ]) in
+  let r =
+    Sim.simulate ~policy:Policy.Plru tiny layout cache2
+      (ref_trace [ 0; 1; 0; 1; 0; 1 ])
+  in
   Alcotest.(check int) "compulsory only" 2 r.Sim.misses
 
 let test_plru_rejects_non_power_of_two () =
@@ -170,7 +174,9 @@ let test_plru_rejects_non_power_of_two () =
   let cache3 = Config.make ~size:(3 * 32) ~line_size:32 ~assoc:3 in
   Alcotest.(check bool) "assoc=3 rejected" true
     (try
-       ignore (Sim.simulate_plru p3 (Layout.default p3) cache3 (ref_trace [ 0 ]));
+       ignore
+         (Sim.simulate ~policy:Policy.Plru p3 (Layout.default p3) cache3
+            (ref_trace [ 0 ]));
        false
      with Invalid_argument _ -> true)
 
@@ -183,7 +189,7 @@ let prop_plru_vs_lru_bounds =
       let cache = Config.make ~size:(4 * 32) ~line_size:32 ~assoc:4 in
       let trace = ref_trace (List.map (fun r -> r mod 8) refs) in
       let lru = Sim.simulate p layout cache trace in
-      let plru = Sim.simulate_plru p layout cache trace in
+      let plru = Sim.simulate ~policy:Policy.Plru p layout cache trace in
       let floor = Sim.distinct_lines p layout cache trace in
       plru.Sim.misses >= floor
       && plru.Sim.misses <= plru.Sim.accesses

@@ -5,6 +5,7 @@ module Layout = Trg_program.Layout
 module Serial = Trg_program.Serial
 module Config = Trg_cache.Config
 module Sim = Trg_cache.Sim
+module Hierarchy = Trg_cache.Hierarchy
 module Event = Trg_trace.Event
 module Trace = Trg_trace.Trace
 module Stats = Trg_util.Stats
@@ -158,13 +159,22 @@ let test_sim_empty_trace () =
 
 let test_hierarchy_empty_trace () =
   let program = Program.of_sizes [| 32 |] in
-  let h =
-    Sim.simulate_hierarchy program (Layout.default program)
-      ~l1:(Config.make ~size:8192 ~line_size:32 ~assoc:1)
-      ~l2:(Config.make ~size:65536 ~line_size:64 ~assoc:4)
-      (Trace.of_list [])
+  let level config hit_cycles =
+    { Hierarchy.config; policy = Trg_cache.Policy.Lru; hit_cycles }
   in
-  Alcotest.(check (float 1e-9)) "amat zero on empty" 0. h.Sim.amat
+  let hier =
+    Hierarchy.make
+      ~levels:
+        [
+          level (Config.make ~size:8192 ~line_size:32 ~assoc:1) 1;
+          level (Config.make ~size:65536 ~line_size:64 ~assoc:4) 10;
+        ]
+      ~memory_cycles:100
+  in
+  let h =
+    Hierarchy.simulate program (Layout.default program) hier (Trace.of_list [])
+  in
+  Alcotest.(check (float 1e-9)) "amat zero on empty" 0. h.Hierarchy.amat
 
 let suite =
   [

@@ -618,34 +618,45 @@ let prop_lru_matches_reference =
         refs;
       sim.Sim.misses = !misses)
 
-(* The direct-mapped simulator against the brute-force LRU model at
-   associativity 1, over random geometry: line sizes with and without a
-   power of two, line counts 1 to 40, unaligned addresses and events of
-   1 to 200 bytes, so both of [Sim]'s direct-mapped loops run. *)
+(* The simulator against the brute-force policy models, over random
+   geometry: every policy (Tree-PLRU at power-of-two ways only),
+   associativity 1, 2, 3, 4 or 8, 1 to 40 sets, line sizes with and
+   without a power of two, unaligned addresses and events of 1 to 200
+   bytes, so both of [Sim]'s direct-mapped loops and its {!Policy.Probe}
+   loop run.  Attribution's real cache must count the same. *)
 let prop_direct_matches_reference =
   QCheck.Test.make ~name:"direct-mapped Sim matches reference over random geometry"
     ~count:(scaled 200)
     QCheck.(
       make
-        ~print:(fun (line_size, n_lines, seed, n) ->
-          Printf.sprintf "line %d, %d lines, seed %d, %d events" line_size n_lines
-            seed n)
+        ~print:(fun ((policy, assoc), (line_size, n_sets, seed, n)) ->
+          Printf.sprintf "%s, %d-way, line %d, %d sets, seed %d, %d events"
+            (Trg_cache.Policy.to_string policy) assoc line_size n_sets seed n)
         Gen.(
-          quad (oneofl [ 8; 16; 24; 32; 64 ]) (int_range 1 40) int (int_range 1 300)))
-    (fun (line_size, n_lines, seed, n) ->
+          pair
+            (oneofl Trg_cache.Policy.all >>= fun policy ->
+             map
+               (fun assoc -> (policy, assoc))
+               (oneofl
+                  (if policy = Trg_cache.Policy.Plru then [ 1; 2; 4; 8 ]
+                   else [ 1; 2; 3; 4; 8 ])))
+            (quad (oneofl [ 8; 16; 24; 32; 64 ]) (int_range 1 40) int (int_range 1 300))))
+    (fun ((policy, assoc), (line_size, n_sets, seed, n)) ->
       let rng = Prng.create seed in
       let program = Program.of_sizes (Array.init 12 (fun _ -> 1 + Prng.int rng 400)) in
       let layout = Layout.random rng program in
       let events =
         List.init n (fun _ ->
             let proc = Prng.int rng 12 in
-            Event.make ~kind:Event.Enter ~proc
-              ~offset:(Prng.int rng (Program.size program proc))
-              ~len:(1 + Prng.int rng 200))
+            let offset = Prng.int rng (Program.size program proc) in
+            Event.make ~kind:Event.Enter ~proc ~offset
+              ~len:(1 + Prng.int rng (min 200 (Program.size program proc - offset))))
       in
-      let cache = Config.make ~size:(n_lines * line_size) ~line_size ~assoc:1 in
-      let sim = Sim.simulate program layout cache (Trace.of_list events) in
-      let probe = Trg_cache.Policy.Reference.create Trg_cache.Policy.Lru ~n_sets:n_lines ~assoc:1 in
+      let cache = Config.make ~size:(n_sets * assoc * line_size) ~line_size ~assoc in
+      let trace = Trace.of_list events in
+      let sim = Sim.simulate ~policy program layout cache trace in
+      let attrib = (Trg_cache.Attrib.simulate ~policy program layout cache trace).Trg_cache.Attrib.result in
+      let probe = Trg_cache.Policy.Reference.create policy ~n_sets ~assoc in
       let accesses = ref 0 and misses = ref 0 and evictions = ref 0 in
       List.iter
         (fun (e : Event.t) ->
@@ -660,8 +671,10 @@ let prop_direct_matches_reference =
               incr evictions
           done)
         events;
-      sim.Sim.accesses = !accesses && sim.Sim.misses = !misses
-      && sim.Sim.evictions = !evictions)
+      let expected =
+        { Sim.accesses = !accesses; misses = !misses; evictions = !evictions; events = n }
+      in
+      sim = expected && attrib = expected)
 
 (* --- Reuse distances vs a scan reference ---------------------------------- *)
 

@@ -162,36 +162,40 @@ let suite =
 
 (* --- Two-level hierarchy -------------------------------------------------- *)
 
+(* An 8 KB direct-mapped L1 over a 64 KB 4-way L2 with 64-byte lines, at
+   1 / 10 / 100 cycles. *)
+let two_levels ?(l2_line = 64) () =
+  let level config hit_cycles =
+    { Trg_cache.Hierarchy.config; policy = Trg_cache.Policy.Lru; hit_cycles }
+  in
+  Trg_cache.Hierarchy.make
+    ~levels:
+      [
+        level (Config.make ~size:8192 ~line_size:32 ~assoc:1) 1;
+        level (Config.make ~size:(l2_line * 4 * 256) ~line_size:l2_line ~assoc:4) 10;
+      ]
+    ~memory_cycles:100
+
 let test_hierarchy_l2_sees_l1_misses () =
   let w = Gen.generate (Bench.find "small") in
   let params = { (Bench.find "small").Trg_synth.Shape.train with Walker.target_events = 20_000 } in
   let trace = Walker.run w.Gen.program w.Gen.behavior params in
   let layout = Layout.default w.Gen.program in
-  let l1 = Config.make ~size:8192 ~line_size:32 ~assoc:1 in
-  let l2 = Config.make ~size:65536 ~line_size:64 ~assoc:4 in
-  let h = Sim.simulate_hierarchy w.Gen.program layout ~l1 ~l2 trace in
-  let l1_alone = Sim.simulate w.Gen.program layout l1 trace in
-  Alcotest.(check int) "L1 result unchanged" l1_alone.Sim.misses h.Sim.l1.Sim.misses;
-  Alcotest.(check int) "L2 accesses = L1 misses" h.Sim.l1.Sim.misses h.Sim.l2.Sim.accesses;
-  Alcotest.(check bool) "L2 misses <= L2 accesses" true
-    (h.Sim.l2.Sim.misses <= h.Sim.l2.Sim.accesses);
-  (* AMAT formula: 1 + 10*l1mr + 90*(l2 misses / l1 accesses). *)
-  let expected =
-    1.
-    +. (10. *. float_of_int h.Sim.l1.Sim.misses /. float_of_int h.Sim.l1.Sim.accesses)
-    +. (90. *. float_of_int h.Sim.l2.Sim.misses /. float_of_int h.Sim.l1.Sim.accesses)
+  let h = Trg_cache.Hierarchy.simulate w.Gen.program layout (two_levels ()) trace in
+  let l1 = h.Trg_cache.Hierarchy.levels.(0) and l2 = h.Trg_cache.Hierarchy.levels.(1) in
+  let l1_alone =
+    Sim.simulate w.Gen.program layout (Config.make ~size:8192 ~line_size:32 ~assoc:1) trace
   in
-  Alcotest.(check (float 1e-9)) "amat formula" expected h.Sim.amat
+  Alcotest.(check int) "L1 result unchanged" l1_alone.Sim.misses l1.Trg_cache.Hierarchy.misses;
+  Alcotest.(check int) "L2 accesses = L1 misses" l1.Trg_cache.Hierarchy.misses
+    l2.Trg_cache.Hierarchy.accesses;
+  Alcotest.(check bool) "L2 misses <= L2 accesses" true
+    (l2.Trg_cache.Hierarchy.misses <= l2.Trg_cache.Hierarchy.accesses)
 
 let test_hierarchy_rejects_bad_lines () =
-  let program = Program.of_sizes [| 64 |] in
-  let layout = Layout.default program in
-  let l1 = Config.make ~size:8192 ~line_size:32 ~assoc:1 in
-  let l2 = Config.make ~size:(48 * 4 * 256) ~line_size:48 ~assoc:4 in
   Alcotest.(check bool) "indivisible line sizes rejected" true
     (try
-       ignore
-         (Sim.simulate_hierarchy program layout ~l1 ~l2 (ref_trace [ 0 ]));
+       ignore (two_levels ~l2_line:48 ());
        false
      with Invalid_argument _ -> true)
 
