@@ -190,32 +190,22 @@ module Probe = struct
   let access_ways t la =
     let set = la mod t.n_sets in
     let base = set * t.assoc in
-    let way = ref (-1) in
-    (try
-       for w = 0 to t.assoc - 1 do
-         if t.tags.(base + w) = la then begin
-           way := w;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !way >= 0 then begin
+    let way = ref 0 in
+    while !way < t.assoc && t.tags.(base + !way) <> la do
+      incr way
+    done;
+    if !way < t.assoc then begin
       touch t base !way;
       -2
     end
     else begin
       (* Valid-first fill: the lowest-numbered invalid way, if any,
          before the policy is consulted for a victim. *)
-      let invalid = ref (-1) in
-      (try
-         for w = 0 to t.assoc - 1 do
-           if t.tags.(base + w) < 0 then begin
-             invalid := w;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      let w = if !invalid >= 0 then !invalid else victim t set base in
+      let invalid = ref 0 in
+      while !invalid < t.assoc && t.tags.(base + !invalid) >= 0 do
+        incr invalid
+      done;
+      let w = if !invalid < t.assoc then !invalid else victim t set base in
       let old = t.tags.(base + w) in
       t.tags.(base + w) <- la;
       fill t set base w;
