@@ -79,14 +79,8 @@ let gbsc_units name r =
               ignore (Trg_place.Gbsc.place program r.Runner.prof))))
     [ ("gbsc-incr", Trg_place.Cost.Incr); ("gbsc-full", Trg_place.Cost.Full) ]
 
-(* The 8 KB 4-way cache of the Section 6 experiments, and the preset
-   whose three levels run Tree-PLRU and both QLRU flavours. *)
+(* The 8 KB 4-way cache of the Section 6 experiments. *)
 let cache_4way = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:4
-
-let skylake () =
-  match Trg_cache.Cpu.find "skylake" with
-  | Ok c -> c.Trg_cache.Cpu.hier
-  | Error e -> invalid_arg e
 
 let bench_units ?policy name =
   let shape = Trg_synth.Bench.find name in
@@ -94,7 +88,12 @@ let bench_units ?policy name =
   let program = Runner.program r in
   let layout = Runner.default_layout r in
   let train_file = saved_trace r.Runner.train in
-  let hier = skylake () in
+  (* Tree-PLRU at L1, QLRU at L2 and L3. *)
+  let hier =
+    match Trg_cache.Cpu.find "skylake" with
+    | Ok c -> c.Trg_cache.Cpu.hier
+    | Error e -> invalid_arg e
+  in
   let u = unit_of name in
   u "prepare" (fun () -> ignore (Runner.prepare ?policy shape))
   :: gbsc_units name r
