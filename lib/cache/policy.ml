@@ -57,13 +57,13 @@ module Probe = struct
     assoc : int;
     levels : int;  (* log2 assoc, for the PLRU tree walk *)
     tags : int array;
-        (* n_sets * assoc; -1 = invalid.  Under LRU each set's slice is
-           kept most recently used first; every other policy indexes it
-           by way. *)
+        (* n_sets * assoc; -1 = invalid.  Under LRU and MRU each set's
+           slice is kept most recently used first; every other policy
+           indexes it by way. *)
     state : int array;
-        (* per-set policy state: recency ranks (MRU), the round-robin
-           pointer (FIFO), heap-indexed tree direction bits (PLRU, slots
-           1..assoc-1) or two-bit ages (QLRU); empty under LRU *)
+        (* per-set policy state: the round-robin pointer (FIFO),
+           heap-indexed tree direction bits (PLRU, slots 1..assoc-1) or
+           two-bit ages (QLRU); empty under LRU and MRU *)
   }
 
   let create kind ~n_sets ~assoc =
@@ -71,13 +71,8 @@ module Probe = struct
     if n_sets < 1 then invalid_arg "Policy.Probe.create: n_sets must be positive";
     let state =
       match kind with
-      | Lru -> [||]
+      | Lru | Mru -> [||]
       | Fifo -> Array.make n_sets 0
-      | Mru ->
-        (* Rank w for way w: cold ways are a permutation from the start;
-           which cold rank a way holds never matters because invalid
-           ways fill first. *)
-        Array.init (n_sets * assoc) (fun i -> i mod assoc)
       | Plru | Qlru_h00 | Qlru_h11 -> Array.make (n_sets * assoc) 0
     in
     {
@@ -89,10 +84,12 @@ module Probe = struct
       state;
     }
 
-  (* True LRU: the referenced tag moves to the front of its set's slice.
-     On a miss the search ends at the last way, whose tag (the least
-     recent line, or -1 while the set is not full) is shifted out. *)
-  let access_lru t la =
+  (* True LRU and MRU: the referenced tag moves to the front of its
+     set's slice.  On a miss the search ends at the last way, which holds
+     -1 while the set is not full.  A full set evicts its least recent
+     line under LRU, shifted out at the back, and its most recent under
+     MRU, overwritten in place at the front. *)
+  let access_recency t la =
     let base = (la mod t.n_sets) * t.assoc in
     let last = t.assoc - 1 in
     let w = ref 0 in
@@ -100,26 +97,18 @@ module Probe = struct
       incr w
     done;
     let code = if t.tags.(base + !w) = la then -2 else t.tags.(base + last) in
-    for w' = !w downto 1 do
-      t.tags.(base + w') <- t.tags.(base + w' - 1)
-    done;
-    t.tags.(base) <- la;
-    code
-
-  (* Promote way [w] to rank 0, shifting every fresher rank down one. *)
-  let rank_promote t base w =
-    let r = t.state.(base + w) in
-    for w' = 0 to t.assoc - 1 do
-      if t.state.(base + w') < r then t.state.(base + w') <- t.state.(base + w') + 1
-    done;
-    t.state.(base + w) <- 0
-
-  let rank_find t base rank =
-    let way = ref 0 in
-    for w = 0 to t.assoc - 1 do
-      if t.state.(base + w) = rank then way := w
-    done;
-    !way
+    if code >= 0 && t.kind = Mru then begin
+      let victim = t.tags.(base) in
+      t.tags.(base) <- la;
+      victim
+    end
+    else begin
+      for w' = !w downto 1 do
+        t.tags.(base + w') <- t.tags.(base + w' - 1)
+      done;
+      t.tags.(base) <- la;
+      code
+    end
 
   (* PLRU tree walk: set every bit on the path to [w] to point away from
      it (bit = 1 means "go to the high-way subtree"). *)
@@ -159,33 +148,30 @@ module Probe = struct
     !way
 
   (* [touch], [victim] and [fill] serve the way-indexed policies; LRU
-     never reaches them (see [access]). *)
+     and MRU never reach them (see [access]). *)
   let touch t base w =
     match t.kind with
-    | Mru -> rank_promote t base w
     | Fifo -> ()
     | Plru -> plru_touch t base w
     | Qlru_h00 -> t.state.(base + w) <- 0
     | Qlru_h11 ->
       t.state.(base + w) <-
         (if t.state.(base + w) = qlru_max_age then 1 else 0)
-    | Lru -> assert false
+    | Lru | Mru -> assert false
 
   let victim t set base =
     match t.kind with
-    | Mru -> rank_find t base 0
     | Fifo -> t.state.(set)
     | Plru -> plru_victim t base
     | Qlru_h00 | Qlru_h11 -> qlru_victim t base
-    | Lru -> assert false
+    | Lru | Mru -> assert false
 
   let fill t set base w =
     match t.kind with
-    | Mru -> rank_promote t base w
     | Fifo -> t.state.(set) <- (w + 1) mod t.assoc
     | Plru -> plru_touch t base w
     | Qlru_h00 | Qlru_h11 -> t.state.(base + w) <- qlru_insert_age
-    | Lru -> assert false
+    | Lru | Mru -> assert false
 
   let access_ways t la =
     let set = la mod t.n_sets in
@@ -214,8 +200,8 @@ module Probe = struct
 
   let access t la =
     match t.kind with
-    | Lru -> access_lru t la
-    | Fifo | Mru | Plru | Qlru_h00 | Qlru_h11 -> access_ways t la
+    | Lru | Mru -> access_recency t la
+    | Fifo | Plru | Qlru_h00 | Qlru_h11 -> access_ways t la
 
   let hit code = code = -2
 end

@@ -54,9 +54,9 @@ val validate : kind -> assoc:int -> unit
 
 (** The optimized engine: one instance simulates a whole cache
     (tags + per-set policy state in flat int arrays, no per-access
-    allocation).  True LRU keeps each set's tags in recency order and
-    moves a referenced tag to the front; the other policies index tags
-    by way and keep their state beside them. *)
+    allocation).  True LRU and MRU keep each set's tags in recency order
+    and move a referenced tag to the front; the other policies index
+    tags by way and keep their state beside them. *)
 module Probe : sig
   type t
 
