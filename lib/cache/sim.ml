@@ -131,16 +131,17 @@ let paging program layout ~page_size ~frames trace =
   let resident = Policy.Full_lru.create ~capacity:frames ~n_ids:n_pages in
   let accesses = ref 0 and faults = ref 0 in
   let touched = Hashtbl.create 256 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / page_size and last = (base + e.len - 1) / page_size in
-      for p = first to last do
-        incr accesses;
-        if not (Hashtbl.mem touched p) then Hashtbl.add touched p ();
-        if not (Policy.Full_lru.access resident p) then incr faults
-      done)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    let w = Trace.packed trace i in
+    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+    let first = base / page_size
+    and last = (base + Event.packed_len w - 1) / page_size in
+    for p = first to last do
+      incr accesses;
+      if not (Hashtbl.mem touched p) then Hashtbl.add touched p ();
+      if not (Policy.Full_lru.access resident p) then incr faults
+    done
+  done;
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/accesses") !accesses;
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/faults") !faults;
   {
