@@ -7,7 +7,8 @@
    regression of it, stays visible), the trace simulator direct-mapped
    and 4-way, miss attribution, the skylake hierarchy, and one pool
    round-trip, all on the pair-sparse [small]; plus GBSC under both
-   engines on the pair-dense [vortex].  Each unit is
+   engines on the pair-dense [vortex], and last a fixed-length anneal
+   from GBSC's offsets on each bench.  Each unit is
    run [reps] times; wall time and allocated words per repetition feed
    {!Trg_obs.Perf.robust}, and the deterministic [cost/*], [merge/*],
    [pool/*] and [sim/*] counters of the first repetition are captured
@@ -82,6 +83,23 @@ let gbsc_units name r =
 (* The 8 KB 4-way cache of the Section 6 experiments. *)
 let cache_4way = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:4
 
+(* Proposed moves of the anneal unit: a twentieth of the E12 headroom
+   search's, from GBSC's offsets instead of random ones. *)
+let anneal_iterations = 3_000
+
+let anneal_unit name r =
+  let program = Runner.program r in
+  let config = r.Runner.config and prof = r.Runner.prof in
+  let init = Trg_place.Anneal.gbsc_offsets config program prof in
+  let params =
+    { Trg_place.Anneal.default_params with iterations = anneal_iterations }
+  in
+  unit_of name "anneal" (fun () ->
+      ignore (Trg_place.Anneal.place ~params ~init config program prof))
+
+(* A bench's units, and apart from them its anneal unit, which [units]
+   runs after every other unit: a unit's allocation depends on the GC
+   history the units before it leave, so a new unit goes last. *)
 let bench_units ?policy name =
   let shape = Trg_synth.Bench.find name in
   let r = Runner.prepare ?policy shape in
@@ -95,9 +113,9 @@ let bench_units ?policy name =
     | Error e -> invalid_arg e
   in
   let u = unit_of name in
-  u "prepare" (fun () -> ignore (Runner.prepare ?policy shape))
-  :: gbsc_units name r
-  @ [
+  ( u "prepare" (fun () -> ignore (Runner.prepare ?policy shape))
+    :: gbsc_units name r
+    @ [
     u "ph" (fun () -> ignore (Trg_place.Ph.place ~wcg:r.Runner.wcg program));
     u "hkc" (fun () ->
         ignore
@@ -115,7 +133,8 @@ let bench_units ?policy name =
     u "profile" (fun () ->
         ignore (Trg_place.Gbsc.profile r.Runner.config program r.Runner.train));
     u "trace-load" (fun () -> ignore (Trg_trace.Io.load train_file));
-  ]
+  ],
+    anneal_unit name r )
 
 (* One pool round-trip: forks [jobs] workers, ships eight trivial units
    through the checksummed frames and absorbs the replies.  Its wall
@@ -152,9 +171,11 @@ let dense_units ?policy () =
   gbsc_units dense_bench (Runner.prepare ?policy (Trg_synth.Bench.find dense_bench))
 
 let units ?(jobs = 2) ?(benches = default_benches) ?policy () =
-  List.concat_map (bench_units ?policy) benches
+  let per_bench = List.map (bench_units ?policy) benches in
+  List.concat_map fst per_bench
   @ (if List.mem dense_bench benches then [] else dense_units ?policy ())
   @ [ pool_unit ~jobs ]
+  @ List.map snd per_bench
 
 let unit_names ?jobs ?benches ?policy () =
   List.map (fun u -> u.u_name) (units ?jobs ?benches ?policy ())

@@ -7,8 +7,9 @@
     miss attribution at the paper's point, the [skylake] hierarchy, one
     worker-pool round-trip —
     plus GBSC under both engines on the pair-dense [vortex] (unless it
-    is one of the benches, which times all of its units), each run
-    [reps] times.  {!measure} reduces the
+    is one of the benches, which times all of its units), and last, for
+    each bench, a fixed-length anneal from GBSC's offsets
+    (["small/anneal"]), each run [reps] times.  {!measure} reduces the
     repetitions to median + MAD per unit and captures the deterministic
     [cost/*], [merge/*], [pool/*] and [sim/*] counters of the first
     repetition into a {!Trg_obs.Perf.record} ready for the ledger.
