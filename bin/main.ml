@@ -248,12 +248,12 @@ let journal_out_term =
   in
   Arg.(value & opt (some string) None & info [ "journal-out" ] ~docv:"FILE" ~doc)
 
+(* The algorithms whose merge decisions a journal records. *)
+let journal_algos = Arg.enum (List.map (fun a -> (a, a)) [ "gbsc"; "ph"; "hkc"; "gbsc-sa" ])
+
 let journal_algo_term =
   let doc = "Algorithm whose decisions to journal." in
-  Arg.(
-    value
-    & opt (enum [ ("gbsc", "gbsc"); ("ph", "ph"); ("hkc", "hkc"); ("gbsc-sa", "gbsc-sa") ]) "gbsc"
-    & info [ "journal-algo" ] ~docv:"ALGO" ~doc)
+  Arg.(value & opt journal_algos "gbsc" & info [ "journal-algo" ] ~docv:"ALGO" ~doc)
 
 (* The manifest's "journal" member: enough to find the file and check it
    is the one the run wrote (schema, step count, layout CRC). *)
@@ -852,19 +852,7 @@ let compare_cmd =
     in
     let base = load_validated file_a and current = load_validated file_b in
     let selected (d : Trg_obs.Manifest.drift) =
-      only = []
-      ||
-      let name = d.Trg_obs.Manifest.metric in
-      (* Metric names look like "counters/sim/misses"; accept a prefix of
-         the full name or of the part after the kind segment. *)
-      let tail =
-        match String.index_opt name '/' with
-        | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-        | None -> name
-      in
-      List.exists
-        (fun p -> String.starts_with ~prefix:p name || String.starts_with ~prefix:p tail)
-        only
+      Trg_obs.Manifest.selected ~only d.Trg_obs.Manifest.metric
     in
     match List.filter selected (Trg_obs.Manifest.diff ~tolerance base current) with
     | [] ->
@@ -939,15 +927,8 @@ let stats_cmd =
              and histograms, in both table and $(b,--json) output.")
   in
   let run render_tables file json_flag chrome_out only =
-    (* Same prefix semantics as [compare --only]: the full "kind/name"
-       or just the name after the kind segment. *)
     let metric_selected kind name =
-      only = []
-      || List.exists
-           (fun p ->
-             String.starts_with ~prefix:p (kind ^ "/" ^ name)
-             || String.starts_with ~prefix:p name)
-           only
+      Trg_obs.Manifest.selected ~only (kind ^ "/" ^ name)
     in
     let fail msg =
       Log.err (fun m -> m "%s: %s" file msg);
@@ -1242,10 +1223,7 @@ let why_cmd =
   in
   let algo =
     let doc = "Placement algorithm to interrogate." in
-    Arg.(
-      value
-      & opt (enum [ ("gbsc", "gbsc"); ("ph", "ph"); ("hkc", "hkc"); ("gbsc-sa", "gbsc-sa") ]) "gbsc"
-      & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
+    Arg.(value & opt journal_algos "gbsc" & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
   in
   let journal_f =
     Arg.(

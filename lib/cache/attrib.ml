@@ -39,24 +39,24 @@ let m_conflict = Trg_obs.Metrics.counter "attrib/conflict"
    input yields one precise exception instead of a mid-simulation failure. *)
 let validate_trace program trace =
   let n_procs = Program.n_procs program in
-  Trace.iteri
-    (fun ei (e : Event.t) ->
-      if e.proc < 0 || e.proc >= n_procs then
-        invalid_arg
-          (Printf.sprintf
-             "Attrib.simulate: event %d references procedure %d, but the \
-              program has %d"
-             ei e.proc n_procs);
-      let size = Program.size program e.proc in
-      if e.offset + e.len > size then
-        invalid_arg
-          (Printf.sprintf
-             "Attrib.simulate: event %d runs over bytes [%d, %d) of %s, \
-              which is only %d bytes"
-             ei e.offset (e.offset + e.len)
-             (Program.name program e.proc)
-             size))
-    trace
+  for ei = 0 to Trace.length trace - 1 do
+    let w = Trace.packed trace ei in
+    let proc = Event.packed_proc w and offset = Event.packed_offset w in
+    let len = Event.packed_len w in
+    if proc < 0 || proc >= n_procs then
+      invalid_arg
+        (Printf.sprintf
+           "Attrib.simulate: event %d references procedure %d, but the \
+            program has %d"
+           ei proc n_procs);
+    let size = Program.size program proc in
+    if offset + len > size then
+      invalid_arg
+        (Printf.sprintf
+           "Attrib.simulate: event %d runs over bytes [%d, %d) of %s, \
+            which is only %d bytes"
+           ei offset (offset + len) (Program.name program proc) size)
+  done
 
 let simulate ?(intervals = 60) ?(policy = Policy.Lru) program layout
     (config : Config.t) trace =
@@ -95,48 +95,49 @@ let simulate ?(intervals = 60) ?(policy = Policy.Lru) program layout
   let timeline = Array.make (max 1 ((events + interval_events - 1) / interval_events)) 0 in
   (* (evictor, victim) -> conflict count, packed as evictor * n + victim. *)
   let matrix : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
-  Trace.iteri
-    (fun ei (e : Event.t) ->
-      let p = e.proc in
-      let base = addr.(p) + e.offset in
-      let first = base / line_size and last = (base + e.len - 1) / line_size in
-      for la = first to last do
-        incr accesses;
-        pa.(p) <- pa.(p) + 1;
-        let fresh = Bytes.get seen la = '\000' in
-        if fresh then Bytes.set seen la '\001';
-        (* The shadow is probed on every access so its recency order
-           tracks the full reference stream, not just real-cache misses. *)
-        let shadow_hit = Policy.Full_lru.access shadow la in
-        let set = la mod n_sets in
-        let code = Policy.Probe.access probe la in
-        if code <> -2 then begin
-          incr misses;
-          pm.(p) <- pm.(p) + 1;
-          set_misses.(set) <- set_misses.(set) + 1;
-          timeline.(ei / interval_events) <- timeline.(ei / interval_events) + 1;
-          (if fresh then incr compulsory
-           else if not shadow_hit then incr capacity_m
-           else begin
-             incr conflict;
-             pc.(p) <- pc.(p) + 1;
-             let evictor = last_evictor.(la) in
-             if evictor >= 0 then begin
-               let key = (evictor * n_procs) + p in
-               match Hashtbl.find_opt matrix key with
-               | Some r -> incr r
-               | None -> Hashtbl.add matrix key (ref 1)
-             end
-           end);
-          let victim_la = code in
-          if victim_la >= 0 then begin
-            incr evictions;
-            pe.(p) <- pe.(p) + 1;
-            last_evictor.(victim_la) <- p
-          end
+  (* Packed words, decoded field by field: no record per event. *)
+  for ei = 0 to events - 1 do
+    let w = Trace.packed trace ei in
+    let p = Event.packed_proc w in
+    let base = addr.(p) + Event.packed_offset w in
+    let first = base / line_size and last = (base + Event.packed_len w - 1) / line_size in
+    for la = first to last do
+      incr accesses;
+      pa.(p) <- pa.(p) + 1;
+      let fresh = Bytes.get seen la = '\000' in
+      if fresh then Bytes.set seen la '\001';
+      (* The shadow is probed on every access so its recency order
+         tracks the full reference stream, not just real-cache misses. *)
+      let shadow_hit = Policy.Full_lru.access shadow la in
+      let set = la mod n_sets in
+      let code = Policy.Probe.access probe la in
+      if code <> -2 then begin
+        incr misses;
+        pm.(p) <- pm.(p) + 1;
+        set_misses.(set) <- set_misses.(set) + 1;
+        timeline.(ei / interval_events) <- timeline.(ei / interval_events) + 1;
+        (if fresh then incr compulsory
+         else if not shadow_hit then incr capacity_m
+         else begin
+           incr conflict;
+           pc.(p) <- pc.(p) + 1;
+           let evictor = last_evictor.(la) in
+           if evictor >= 0 then begin
+             let key = (evictor * n_procs) + p in
+             match Hashtbl.find_opt matrix key with
+             | Some r -> incr r
+             | None -> Hashtbl.add matrix key (ref 1)
+           end
+         end);
+        let victim_la = code in
+        if victim_la >= 0 then begin
+          incr evictions;
+          pe.(p) <- pe.(p) + 1;
+          last_evictor.(victim_la) <- p
         end
-      done)
-    trace;
+      end
+    done
+  done;
   let distinct = ref 0 in
   let set_lines = Array.make n_sets 0 in
   for la = 0 to n_line_ids - 1 do

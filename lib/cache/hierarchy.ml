@@ -150,20 +150,21 @@ let simulate program layout (t : t) trace =
   let l1 = List.hd states in
   let rest = List.tl states in
   let l1_line = l1.line_size in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / l1_line and last = (base + e.len - 1) / l1_line in
-      for la1 = first to last do
-        let byte_addr = la1 * l1_line in
-        if access_level l1 byte_addr then
-          (* Walk deeper while each level misses. *)
-          ignore
-            (List.fold_left
-               (fun missed st -> missed && access_level st byte_addr)
-               true rest)
-      done)
-    trace;
+  (* Walk deeper while each level misses. *)
+  let rec deeper byte_addr = function
+    | [] -> ()
+    | st :: below -> if access_level st byte_addr then deeper byte_addr below
+  in
+  (* Packed words, decoded field by field: no record per event. *)
+  for i = 0 to Trace.length trace - 1 do
+    let w = Trace.packed trace i in
+    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+    let first = base / l1_line and last = (base + Event.packed_len w - 1) / l1_line in
+    for la1 = first to last do
+      let byte_addr = la1 * l1_line in
+      if access_level l1 byte_addr then deeper byte_addr rest
+    done
+  done;
   let n_levels = List.length states in
   let last_misses = (List.nth states (n_levels - 1)).s_misses in
   let cycles =

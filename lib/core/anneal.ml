@@ -1,5 +1,4 @@
 module Program = Trg_program.Program
-module Chunk = Trg_program.Chunk
 module Config = Trg_cache.Config
 module Graph = Trg_profile.Graph
 module Trg = Trg_profile.Trg
@@ -9,60 +8,26 @@ type params = { seed : int; iterations : int; t_start : float; t_end : float }
 
 let default_params = { seed = 1; iterations = 60_000; t_start = 0.10; t_end = 0.001 }
 
-(* One inter-procedure TRG_place edge, with the chunks' owner-relative line
-   positions precomputed. *)
-type edge = {
-  p1 : int;
-  p2 : int;
-  rel1 : int; (* line index of chunk 1 within its procedure *)
-  len1 : int; (* lines the chunk spans *)
-  rel2 : int;
-  len2 : int;
-  w : float;
-}
+(* One inter-procedure TRG_place edge. *)
+type edge = { c1 : int; c2 : int; p1 : int; p2 : int; w : float }
 
 type search_state = {
-  n_sets : int;
+  geometry : Geometry.t; (* the profile's chunks *)
   offsets : (int, int) Hashtbl.t; (* proc -> current set offset *)
   edges : edge array;
   incident : (int, int list) Hashtbl.t; (* proc -> edge indices *)
 }
 
-(* Shared cache sets between two line intervals [a, a+la) and [b, b+lb)
-   modulo n_sets.  Intervals are at most n_sets long. *)
-let shared_sets ~n_sets a la b lb =
-  let la = min la n_sets and lb = min lb n_sets in
-  (* Overlap of two circular intervals = sum over the two linearisations. *)
-  let overlap_linear x lx y ly =
-    let lo = max x y and hi = min (x + lx) (y + ly) in
-    max 0 (hi - lo)
-  in
-  if la = n_sets then lb
-  else if lb = n_sets then la
-  else begin
-    let a = a mod n_sets and b = b mod n_sets in
-    (* Split each interval at the wrap point and intersect the pieces. *)
-    let pieces x lx =
-      if x + lx <= n_sets then [ (x, lx) ]
-      else [ (x, n_sets - x); (0, x + lx - n_sets) ]
-    in
-    List.fold_left
-      (fun acc (x, lx) ->
-        List.fold_left
-          (fun acc (y, ly) -> acc + overlap_linear x lx y ly)
-          acc (pieces b lb))
-      0 (pieces a la)
-  end
-
 let edge_cost st e =
   match (Hashtbl.find_opt st.offsets e.p1, Hashtbl.find_opt st.offsets e.p2) with
   | Some o1, Some o2 ->
+    let g = st.geometry in
     let s =
-      shared_sets ~n_sets:st.n_sets
-        ((o1 + e.rel1) mod st.n_sets)
-        e.len1
-        ((o2 + e.rel2) mod st.n_sets)
-        e.len2
+      Geometry.shared g
+        (Geometry.start_set g ~owner_set:o1 e.c1)
+        g.lines.(e.c1)
+        (Geometry.start_set g ~owner_set:o2 e.c2)
+        g.lines.(e.c2)
     in
     e.w *. float_of_int s
   | _ -> 0.
@@ -78,27 +43,17 @@ let build_state (config : Gbsc.config) program (profile : Gbsc.profile) offsets 
   ignore program;
   let cache = config.Gbsc.cache in
   let n_sets = Config.n_sets cache in
-  let line_size = cache.Config.line_size in
-  let chunks = profile.Gbsc.chunks in
-  let lines_per_chunk = Chunk.chunk_size chunks / line_size in
+  let g =
+    Geometry.of_chunks profile.Gbsc.chunks ~line_size:cache.Config.line_size ~n_sets
+  in
   let tbl = Hashtbl.create 64 in
   List.iter (fun (p, o) -> Hashtbl.replace tbl p (o mod n_sets)) offsets;
   let edges = ref [] in
   Graph.iter_edges
     (fun c1 c2 w ->
-      let p1 = Chunk.owner chunks c1 and p2 = Chunk.owner chunks c2 in
+      let p1 = g.owner.(c1) and p2 = g.owner.(c2) in
       if p1 <> p2 && Hashtbl.mem tbl p1 && Hashtbl.mem tbl p2 then
-        edges :=
-          {
-            p1;
-            p2;
-            rel1 = Chunk.index_in_proc chunks c1 * lines_per_chunk;
-            len1 = (Chunk.size_of chunks c1 + line_size - 1) / line_size;
-            rel2 = Chunk.index_in_proc chunks c2 * lines_per_chunk;
-            len2 = (Chunk.size_of chunks c2 + line_size - 1) / line_size;
-            w;
-          }
-          :: !edges)
+        edges := { c1; c2; p1; p2; w } :: !edges)
     profile.Gbsc.place.Trg.graph;
   let edges = Array.of_list !edges in
   let incident = Hashtbl.create 64 in
@@ -111,7 +66,7 @@ let build_state (config : Gbsc.config) program (profile : Gbsc.profile) offsets 
       push e.p1;
       push e.p2)
     edges;
-  { n_sets; offsets = tbl; edges; incident }
+  { geometry = g; offsets = tbl; edges; incident }
 
 let gbsc_offsets config program (profile : Gbsc.profile) =
   let nodes =

@@ -12,70 +12,61 @@ type model =
   | Sa_tuples of { chunks : Chunk.t; db : Tuple_db.t }
   | Blend of (model * float) list
 
-let iter_lines ~line_size ~n_sets ~start_set ~bytes f =
-  let lines = (bytes + line_size - 1) / line_size in
-  let count = min lines n_sets in
-  for j = 0 to count - 1 do
-    f ((start_set + j) mod n_sets)
-  done
+(* A model bound to its geometry.  The chunk TRG and the WCG are one
+   graph model, over chunks and over procedures. *)
+type eval =
+  | Graph_cost of Geometry.t * Graph.t
+  | Pairs of Geometry.t * Pair_db.t
+  | Tuples of Geometry.t * Tuple_db.t
+  | Blend_cost of (eval * float) list
 
-(* Set index of the first line of chunk [c] when its owner starts at cache
-   set [owner_set]. *)
-let chunk_start_set chunks ~line_size ~n_sets ~owner_set c =
-  let lines_per_chunk = Chunk.chunk_size chunks / line_size in
-  (owner_set + (Chunk.index_in_proc chunks c * lines_per_chunk)) mod n_sets
+(* During one evaluation, [side.(p)] is 1 for a member of the fixed
+   node, 2 for one of the moving node and 0 otherwise, and [off.(p)] is
+   a member's offset. *)
+type t = { n_sets : int; side : int array; off : int array; eval : eval }
 
-let offsets_of_node node =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (p, off) -> Hashtbl.replace tbl p off) (Node.members node);
-  tbl
+let prepare model program ~line_size ~n_sets =
+  let chunk_geometry chunks = Geometry.of_chunks chunks ~line_size ~n_sets in
+  let rec eval = function
+    | Trg_chunks { chunks; trg } -> Graph_cost (chunk_geometry chunks, trg)
+    | Wcg_procs { wcg } -> Graph_cost (Geometry.of_procs program ~line_size ~n_sets, wcg)
+    | Sa_pairs { chunks; db } -> Pairs (chunk_geometry chunks, db)
+    | Sa_tuples { chunks; db } -> Tuples (chunk_geometry chunks, db)
+    | Blend parts -> Blend_cost (List.map (fun (sub, w) -> (eval sub, w)) parts)
+  in
+  let n = Program.n_procs program in
+  { n_sets; side = Array.make n 0; off = Array.make n 0; eval = eval model }
 
-let cost_trg_chunks chunks trg program ~line_size ~n_sets ~n1 ~n2 cost =
-  ignore program;
-  let in1 = offsets_of_node n1 in
+let cost_graph t (g : Geometry.t) graph ~n2 cost =
   (* Visit each cross edge once, from the n2 side. *)
   List.iter
     (fun (p2, o2) ->
-      let first2 = Chunk.first chunks p2 in
-      for k2 = 0 to Chunk.n_chunks chunks p2 - 1 do
-        let c2 = first2 + k2 in
-        let s2 =
-          chunk_start_set chunks ~line_size ~n_sets ~owner_set:o2 c2
-        in
-        Graph.iter_neighbors trg c2 (fun c1 e ->
-            let p1 = Chunk.owner chunks c1 in
-            match Hashtbl.find_opt in1 p1 with
-            | None -> ()
-            | Some o1 ->
-              let w = Graph.edge_weight trg e in
-              let s1 =
-                chunk_start_set chunks ~line_size ~n_sets ~owner_set:o1 c1
-              in
-              iter_lines ~line_size ~n_sets ~start_set:s1
-                ~bytes:(Chunk.size_of chunks c1) (fun l1 ->
-                  iter_lines ~line_size ~n_sets ~start_set:s2
-                    ~bytes:(Chunk.size_of chunks c2) (fun l2 ->
-                      let i = (l1 - l2 + n_sets) mod n_sets in
-                      cost.(i) <- cost.(i) +. w)))
+      for b2 = g.proc_first.(p2) to g.proc_first.(p2 + 1) - 1 do
+        let s2 = Geometry.start_set g ~owner_set:o2 b2 and l2 = g.lines.(b2) in
+        Graph.iter_neighbors graph b2 (fun b1 e ->
+            let p1 = g.owner.(b1) in
+            if t.side.(p1) = 1 then
+              Geometry.correlate g cost ~w:(Graph.edge_weight graph e)
+                (Geometry.start_set g ~owner_set:t.off.(p1) b1)
+                g.lines.(b1) s2 l2)
       done)
     (Node.members n2)
 
-let cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost =
-  let in1 = offsets_of_node n1 in
+(* (set index, shifts?) of block [c]'s first line, or None if its owner
+   is in neither node. *)
+let locate t g c =
+  let p = g.Geometry.owner.(c) in
+  match t.side.(p) with
+  | 0 -> None
+  | side -> Some (Geometry.start_set g ~owner_set:t.off.(p) c, side = 2)
+
+let iter_blocks (g : Geometry.t) node f =
   List.iter
-    (fun (p2, o2) ->
-      Graph.iter_neighbors wcg p2 (fun p1 e ->
-          match Hashtbl.find_opt in1 p1 with
-          | None -> ()
-          | Some o1 ->
-            let w = Graph.edge_weight wcg e in
-            iter_lines ~line_size ~n_sets ~start_set:o1
-              ~bytes:(Program.size program p1) (fun l1 ->
-                iter_lines ~line_size ~n_sets ~start_set:o2
-                  ~bytes:(Program.size program p2) (fun l2 ->
-                    let i = (l1 - l2 + n_sets) mod n_sets in
-                    cost.(i) <- cost.(i) +. w))))
-    (Node.members n2)
+    (fun (p, _) ->
+      for c = g.proc_first.(p) to g.proc_first.(p + 1) - 1 do
+        f c
+      done)
+    (Node.members node)
 
 (* Set-associative pair cost: D(p, {r, s}) is charged at offset i only when
    p, r and s all map to the same cache set.  For each line triple
@@ -86,29 +77,15 @@ let cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost =
    of the other node", we also charge mixed pairs with one member in each
    node — the estimate is strictly more complete and reuses the same
    database. *)
-let cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
-  ignore program;
-  let in1 = offsets_of_node n1 and in2 = offsets_of_node n2 in
-  (* (set index, shifts?) of a chunk, or None if its owner is unplaced. *)
-  let locate c =
-    let p = Chunk.owner chunks c in
-    match Hashtbl.find_opt in1 p with
-    | Some o -> Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, false)
-    | None -> (
-      match Hashtbl.find_opt in2 p with
-      | Some o ->
-        Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, true)
-      | None -> None)
-  in
-  let lines c start f =
-    iter_lines ~line_size ~n_sets ~start_set:start ~bytes:(Chunk.size_of chunks c) f
-  in
+let cost_sa_pairs t g db ~n1 ~n2 cost =
+  let n_sets = t.n_sets in
+  let lines c start f = Geometry.iter_sets g start g.Geometry.lines.(c) f in
   let charge_chunk c =
-    match locate c with
+    match locate t g c with
     | None -> ()
     | Some (sp, p_shifts) ->
       Pair_db.iter_p db c (fun r s w ->
-          match (locate r, locate s) with
+          match (locate t g r, locate t g s) with
           | Some (sr, r_shifts), Some (ss, s_shifts) ->
             if not (p_shifts && r_shifts && s_shifts)
                && (p_shifts || r_shifts || s_shifts)
@@ -138,19 +115,10 @@ let cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
                           | _ -> ())))
           | None, _ | _, None -> ())
   in
-  let charge_node node =
-    List.iter
-      (fun (p, _) ->
-        let first = Chunk.first chunks p in
-        for k = 0 to Chunk.n_chunks chunks p - 1 do
-          charge_chunk (first + k)
-        done)
-      (Node.members node)
-  in
   (* Visit p on both sides; pairs are then located wherever they live.  A
      triple entirely within one node contributes nothing (guarded above). *)
-  charge_node n1;
-  charge_node n2
+  iter_blocks g n1 charge_chunk;
+  iter_blocks g n2 charge_chunk
 
 (* Generalised tuple cost: D(p, S) is charged at offset i when p and every
    member of S map to one set.  Members on the fixed side must already
@@ -158,28 +126,16 @@ let cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
    combination determines one offset.  Intersecting the members'
    set-lists keeps this linear in chunk lines rather than exponential in
    the tuple size. *)
-let cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
-  ignore program;
-  let in1 = offsets_of_node n1 and in2 = offsets_of_node n2 in
-  let locate c =
-    let p = Chunk.owner chunks c in
-    match Hashtbl.find_opt in1 p with
-    | Some o -> Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, false)
-    | None -> (
-      match Hashtbl.find_opt in2 p with
-      | Some o ->
-        Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, true)
-      | None -> None)
-  in
+let cost_sa_tuples t g db ~n1 ~n2 cost =
+  let n_sets = t.n_sets in
   let set_list c start =
     let acc = ref [] in
-    iter_lines ~line_size ~n_sets ~start_set:start
-      ~bytes:(Chunk.size_of chunks c) (fun s -> acc := s :: !acc);
+    Geometry.iter_sets g start g.Geometry.lines.(c) (fun s -> acc := s :: !acc);
     List.sort_uniq compare !acc
   in
   let intersect a b = List.filter (fun x -> List.mem x b) a in
   let charge_chunk c =
-    match locate c with
+    match locate t g c with
     | None -> ()
     | Some (sp, p_shifts) ->
       Tuple_db.iter_p db c (fun ids w ->
@@ -193,7 +149,7 @@ let cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
           let members =
             List.filter_map
               (fun m ->
-                match locate m with
+                match locate t g m with
                 | Some (s, shifts) -> Some (m, set_list m s, shifts)
                 | None -> None)
               ids
@@ -221,35 +177,22 @@ let cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
             | Some _ | None -> ()
           end)
   in
-  let charge_node node =
-    List.iter
-      (fun (p, _) ->
-        let first = Chunk.first chunks p in
-        for k = 0 to Chunk.n_chunks chunks p - 1 do
-          charge_chunk (first + k)
-        done)
-      (Node.members node)
-  in
-  charge_node n1;
-  charge_node n2
+  iter_blocks g n1 charge_chunk;
+  iter_blocks g n2 charge_chunk
 
-let rec offsets_cost model program ~line_size ~n_sets ~n1 ~n2 =
-  let cost = Array.make n_sets 0. in
-  (match model with
-  | Trg_chunks { chunks; trg } ->
-    cost_trg_chunks chunks trg program ~line_size ~n_sets ~n1 ~n2 cost
-  | Wcg_procs { wcg } -> cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost
-  | Sa_pairs { chunks; db } ->
-    cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost
-  | Sa_tuples { chunks; db } ->
-    cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost
-  | Blend parts ->
+let rec eval_cost t eval ~n1 ~n2 =
+  let cost = Array.make t.n_sets 0. in
+  (match eval with
+  | Graph_cost (g, graph) -> cost_graph t g graph ~n2 cost
+  | Pairs (g, db) -> cost_sa_pairs t g db ~n1 ~n2 cost
+  | Tuples (g, db) -> cost_sa_tuples t g db ~n1 ~n2 cost
+  | Blend_cost parts ->
     (* Sub-model magnitudes are incommensurable (tuple counts vs edge
        weights), so each sub-cost is normalised to unit mass before
        weighting: the blend weights express relative influence. *)
     List.iter
       (fun (sub, weight) ->
-        let sub_cost = offsets_cost sub program ~line_size ~n_sets ~n1 ~n2 in
+        let sub_cost = eval_cost t sub ~n1 ~n2 in
         let total = Array.fold_left ( +. ) 0. sub_cost in
         if total > 0. then
           Array.iteri
@@ -257,6 +200,15 @@ let rec offsets_cost model program ~line_size ~n_sets ~n1 ~n2 =
             sub_cost)
       parts);
   cost
+
+let mark t side = List.iter (fun (p, o) -> t.side.(p) <- side; t.off.(p) <- o)
+
+let offsets_cost t ~n1 ~n2 =
+  mark t 1 (Node.members n1);
+  mark t 2 (Node.members n2);
+  Fun.protect
+    ~finally:(fun () -> mark t 0 (Node.members n1); mark t 0 (Node.members n2))
+    (fun () -> eval_cost t t.eval ~n1 ~n2)
 
 (* --- cost engines ----------------------------------------------------- *)
 
@@ -310,9 +262,9 @@ let h_seed_us =
 (* [Float.is_integer], inlined: a call to it boxes its argument. *)
 let[@inline] is_integer w = w = Float.trunc w && w -. w = 0.
 
-(* [owner], [start] and [lines] give each graph node's procedure, first
-   cache set at offset 0 and line count.  Edges are read by number, so no
-   weight is boxed. *)
+(* [owner], [start] and [lines] are the geometry's arrays: each graph
+   node's procedure, first cache set at offset 0 and line count.  Edges
+   are read by number, so no weight is boxed. *)
 let seed_graph graph ~owner ~start ~lines ~n_sets =
   let n_edges = Graph.n_edges graph and weights = Graph.weights graph in
   (* Numbers the procedure pairs in first-seen order and counts their
@@ -380,39 +332,28 @@ let seed_graph graph ~owner ~start ~lines ~n_sets =
   end
 
 (* Seed an incremental engine for a model, or [None] when the model is
-   out of scope.  Only the two group-decomposable models qualify: the
+   out of scope.  Only the group-decomposable graph model qualifies: the
    set-associative databases charge triples/tuples (not pairwise-linear
    in the group split) and Blend renormalises sub-costs per query
    (nonlinear), so those fall back to the full evaluator — as does any
    non-integral profile weight (perturbed graphs), which would void the
    bit-identity guarantee.  Edge weights are the only values seeding
    reads, so checking each one covers every value it writes. *)
-let seed_incr_untimed model program ~line_size ~n_sets =
-  let line_count bytes = min ((bytes + line_size - 1) / line_size) n_sets in
+let seed_incr_untimed t =
   let seeded =
-    match model with
-    | Trg_chunks { chunks; trg } ->
-      let n = Chunk.total chunks in
-      seed_graph trg ~n_sets
-        ~owner:(Array.init n (Chunk.owner chunks))
-        ~start:
-          (Array.init n (chunk_start_set chunks ~line_size ~n_sets ~owner_set:0))
-        ~lines:(Array.init n (fun c -> line_count (Chunk.size_of chunks c)))
-    | Wcg_procs { wcg } ->
-      let n = Program.n_procs program in
-      seed_graph wcg ~n_sets ~owner:(Array.init n Fun.id) ~start:(Array.make n 0)
-        ~lines:(Array.init n (fun p -> line_count (Program.size program p)))
-    | Sa_pairs _ | Sa_tuples _ | Blend _ -> None
+    match t.eval with
+    | Graph_cost (g, graph) ->
+      seed_graph graph ~n_sets:g.n_sets ~owner:g.owner ~start:g.first ~lines:g.lines
+    | Pairs _ | Tuples _ | Blend_cost _ -> None
   in
   if Option.is_none seeded then Trg_obs.Metrics.incr m_fallbacks;
   seeded
 
-let seed_incr model program ~line_size ~n_sets =
-  if not (Trg_obs.Prof.enabled ()) then
-    seed_incr_untimed model program ~line_size ~n_sets
+let seed_incr t =
+  if not (Trg_obs.Prof.enabled ()) then seed_incr_untimed t
   else begin
     let t0 = Trg_util.Clock.monotonic () in
-    let r = seed_incr_untimed model program ~line_size ~n_sets in
+    let r = seed_incr_untimed t in
     Trg_obs.Metrics.observe (Lazy.force h_seed_us)
       (1e6 *. (Trg_util.Clock.monotonic () -. t0));
     r
@@ -424,15 +365,6 @@ let best_offset (cost : float array) =
     if cost.(i) < cost.(!best) then best := i
   done;
   !best
-
-let node_occupancy program ~line_size ~n_sets node =
-  let occ = Array.make n_sets false in
-  List.iter
-    (fun (p, off) ->
-      iter_lines ~line_size ~n_sets ~start_set:off ~bytes:(Program.size program p)
-        (fun s -> occ.(s) <- true))
-    (Node.members node);
-  occ
 
 let best_offset_packed (cost : float array) ~n1 ~n2 =
   let n_sets = Array.length cost in

@@ -7,15 +7,14 @@
     edge-wise: a profile edge between a block at (mod-cache) line [l1] in
     node n1 and a block at line [l2] in node n2 contributes its weight to
     exactly the offsets [i] with [l1 = (l2 + i) mod C] — that is, to
-    [cost.((l1 - l2) mod C)].
+    [cost.((l1 - l2) mod C)] ({!Geometry.correlate}).
 
-    Three cost models share this machinery:
-    - {!Trg_chunks}: GBSC — fine-grained TRG_place weights between 256-byte
-      chunks (direct-mapped target);
-    - {!Wcg_procs}: HKC — WCG weights between whole procedures;
+    The cost models:
+    - {!Trg_chunks}: GBSC — TRG_place weights between 256-byte chunks;
+    - {!Wcg_procs}: HKC — WCG weights between whole procedures, the same
+      graph model over another {!Geometry};
     - {!Sa_pairs}: the Section 6 set-associative extension — D(p, {r,s})
-      charges an offset only when p and both pair members land in the same
-      set. *)
+      charges an offset only when p and both pair members share a set. *)
 
 type model =
   | Trg_chunks of { chunks : Trg_program.Chunk.t; trg : Trg_profile.Graph.t }
@@ -31,19 +30,18 @@ type model =
           of the paper's "other heuristics [that] were found to be
           important ... in set-associative caches". *)
 
-val offsets_cost :
-  model ->
-  Trg_program.Program.t ->
-  line_size:int ->
-  n_sets:int ->
-  n1:Node.t ->
-  n2:Node.t ->
-  float array
-(** [offsets_cost model program ~line_size ~n_sets ~n1 ~n2] returns the
-    array [cost] of length [n_sets], where [cost.(i)] estimates the
-    conflict misses caused by shifting node [n2] by [i] cache sets relative
-    to node [n1].  Only inter-node conflicts are counted; intra-node
-    conflicts do not change with the offset (Section 4.2, note 2). *)
+type t
+(** A model bound to the {!Geometry} of its blocks, built once per
+    placement, with scratch arrays for one evaluation at a time. *)
+
+val prepare : model -> Trg_program.Program.t -> line_size:int -> n_sets:int -> t
+
+val offsets_cost : t -> n1:Node.t -> n2:Node.t -> float array
+(** [offsets_cost t ~n1 ~n2] returns the array [cost] of length [n_sets],
+    where [cost.(i)] estimates the conflict misses caused by shifting node
+    [n2] by [i] cache sets relative to node [n1].  Only inter-node
+    conflicts are counted; intra-node conflicts do not change with the
+    offset (Section 4.2, note 2). *)
 
 (** {2 Cost engines}
 
@@ -73,26 +71,15 @@ val engine_name : engine_kind -> string
 val engine_of_name : string -> engine_kind
 (** Inverse of {!engine_name}; raises [Invalid_argument] otherwise. *)
 
-val seed_incr :
-  model ->
-  Trg_program.Program.t ->
-  line_size:int ->
-  n_sets:int ->
-  Trg_cache.Incr.t option
-(** [seed_incr model program ~line_size ~n_sets] builds an incremental
-    engine charged with every inter-procedure profile edge at the
-    all-singletons starting position, or [None] (counted in
-    [cost/incr/fallbacks]) when the model or its weights rule out the
-    exactness guarantee. *)
+val seed_incr : t -> Trg_cache.Incr.t option
+(** [seed_incr t] builds an incremental engine charged with every
+    inter-procedure profile edge at the all-singletons starting position,
+    or [None] (counted in [cost/incr/fallbacks]) when the model or its
+    weights rule out the exactness guarantee. *)
 
 val best_offset : float array -> int
 (** Index of the minimum cost; the {e first} such index, per the paper's
     tie rule (Section 4.2, note 3). *)
-
-val node_occupancy :
-  Trg_program.Program.t -> line_size:int -> n_sets:int -> Node.t -> bool array
-(** [node_occupancy program ~line_size ~n_sets node] marks the cache sets
-    covered by any procedure of the node. *)
 
 val best_offset_packed : float array -> n1:bool array -> n2:bool array -> int
 (** Like {!best_offset}, but ties in the conflict cost are broken by the
@@ -101,11 +88,3 @@ val best_offset_packed : float array -> n1:bool array -> n2:bool array -> int
     much sparser than a chunk TRG, so whole regions of the cost array are
     zero; packing on ties prevents the merge from piling every procedure
     onto set 0 (the "other heuristics" the paper's Section 6 alludes to). *)
-
-val iter_lines :
-  line_size:int -> n_sets:int -> start_set:int -> bytes:int -> (int -> unit) -> unit
-(** [iter_lines ~line_size ~n_sets ~start_set ~bytes f] applies [f] to the
-    distinct cache-set indices occupied by a code object of [bytes] bytes
-    whose first line sits at set [start_set] — at most [n_sets] indices
-    even for objects larger than the cache.  Exposed for {!Metric} and
-    tests. *)

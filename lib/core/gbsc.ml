@@ -88,18 +88,20 @@ let place_nodes ?decisions config program ~select ~model =
      the bigger group as [n1] and [Node.union] keeps [n1]'s members
      first, so the head is stable across merges and the engine's
      union-find tracks node groups exactly. *)
+  let evaluator = Cost.prepare model program ~line_size ~n_sets in
   let engine =
     match Cost.engine () with
-    | Cost.Incr -> Cost.seed_incr model program ~line_size ~n_sets
+    | Cost.Incr -> Cost.seed_incr evaluator
     | Cost.Full -> None
   in
+  let procs = lazy (Geometry.of_procs program ~line_size ~n_sets) in
   let repr n = fst (List.hd (Node.members n)) in
   let merge n1 n2 =
     let cost =
       match engine with
       | Some eng -> Trg_cache.Incr.cost eng ~fixed:(repr n1) ~moving:(repr n2)
       | None ->
-        let cost = Cost.offsets_cost model program ~line_size ~n_sets ~n1 ~n2 in
+        let cost = Cost.offsets_cost evaluator ~n1 ~n2 in
         incr cost_calls;
         offset_candidates := !offset_candidates + Array.length cost;
         cost
@@ -107,8 +109,8 @@ let place_nodes ?decisions config program ~select ~model =
     let shift =
       if packed_ties then
         Cost.best_offset_packed cost
-          ~n1:(Cost.node_occupancy program ~line_size ~n_sets n1)
-          ~n2:(Cost.node_occupancy program ~line_size ~n_sets n2)
+          ~n1:(Geometry.occupancy (Lazy.force procs) (Node.members n1))
+          ~n2:(Geometry.occupancy (Lazy.force procs) (Node.members n2))
       else Cost.best_offset cost
     in
     (match engine with

@@ -1,73 +1,30 @@
-module Program = Trg_program.Program
-module Chunk = Trg_program.Chunk
 module Layout = Trg_program.Layout
 module Config = Trg_cache.Config
 module Graph = Trg_profile.Graph
 
-(* Occupancy bitmap over cache sets for a byte range starting at [addr]. *)
-let occupancy ~line_size ~n_sets ~addr ~bytes =
-  let sets = Bytes.make n_sets '\000' in
-  let start = addr / line_size in
-  let lines = (addr + bytes - 1) / line_size - start + 1 in
-  for j = 0 to min lines n_sets - 1 do
-    Bytes.set sets ((start + j) mod n_sets) '\001'
-  done;
-  sets
-
-let shared a b =
-  let count = ref 0 in
-  Bytes.iteri
-    (fun i ca -> if ca = '\001' && Bytes.get b i = '\001' then incr count)
-    a;
-  !count
-
-let trg_place program ~chunks ~trg ~cache layout =
-  ignore program;
-  let line_size = cache.Config.line_size in
-  let n_sets = Config.n_sets cache in
-  let chunk_addr c =
-    let p = Chunk.owner chunks c in
-    Layout.address layout p + (Chunk.index_in_proc chunks c * Chunk.chunk_size chunks)
-  in
-  let occ = Hashtbl.create 1024 in
-  let occupancy_of c =
-    match Hashtbl.find_opt occ c with
-    | Some o -> o
-    | None ->
-      let o =
-        occupancy ~line_size ~n_sets ~addr:(chunk_addr c)
-          ~bytes:(Chunk.size_of chunks c)
-      in
-      Hashtbl.add occ c o;
-      o
-  in
+(* Sum over the graph's edges (b1, b2, w) of [w] times the sets both
+   blocks cover where the layout puts them. *)
+let conflicts (g : Geometry.t) graph layout =
   let total = ref 0. in
   Graph.iter_edges
-    (fun c1 c2 w ->
-      let s = shared (occupancy_of c1) (occupancy_of c2) in
+    (fun b1 b2 w ->
+      let a1 = Layout.address layout g.owner.(b1)
+      and a2 = Layout.address layout g.owner.(b2) in
+      let s =
+        Geometry.shared g
+          (Geometry.placed_start g ~address:a1 b1)
+          (Geometry.placed_lines g ~address:a1 b1)
+          (Geometry.placed_start g ~address:a2 b2)
+          (Geometry.placed_lines g ~address:a2 b2)
+      in
       if s > 0 then total := !total +. (w *. float_of_int s))
-    trg;
+    graph;
   !total
 
-let wcg program ~wcg ~cache layout =
-  let line_size = cache.Config.line_size in
+let trg_place _program ~chunks ~trg ~(cache : Config.t) layout =
   let n_sets = Config.n_sets cache in
-  let occ = Hashtbl.create 256 in
-  let occupancy_of p =
-    match Hashtbl.find_opt occ p with
-    | Some o -> o
-    | None ->
-      let o =
-        occupancy ~line_size ~n_sets ~addr:(Layout.address layout p)
-          ~bytes:(Program.size program p)
-      in
-      Hashtbl.add occ p o;
-      o
-  in
-  let total = ref 0. in
-  Graph.iter_edges
-    (fun p q w ->
-      let s = shared (occupancy_of p) (occupancy_of q) in
-      if s > 0 then total := !total +. (w *. float_of_int s))
-    wcg;
-  !total
+  conflicts (Geometry.of_chunks chunks ~line_size:cache.line_size ~n_sets) trg layout
+
+let wcg program ~wcg ~(cache : Config.t) layout =
+  let n_sets = Config.n_sets cache in
+  conflicts (Geometry.of_procs program ~line_size:cache.line_size ~n_sets) wcg layout

@@ -9,19 +9,19 @@ let occupants ?only program (config : Config.t) layout =
     | Some f -> f
     | None -> fun p -> Program.size program p <= config.Config.size
   in
+  let g = Geometry.of_procs program ~line_size:config.Config.line_size ~n_sets in
   let sets = Array.make n_sets [] in
+  (* Descending, so each set lists its procedures ascending. *)
   for p = Program.n_procs program - 1 downto 0 do
     if keep p then begin
-      let start = Layout.address layout p / config.Config.line_size in
-      let lines = Config.lines_of_bytes config (Program.size program p) in
-      for j = 0 to min lines n_sets - 1 do
-        let s = (start + j) mod n_sets in
-        sets.(s) <- p :: sets.(s)
-      done
+      let address = Layout.address layout p in
+      Geometry.iter_sets g
+        (Geometry.placed_start g ~address p)
+        (Geometry.placed_lines g ~address p)
+        (fun s -> sets.(s) <- p :: sets.(s))
     end
   done;
-  (* Deduplicate (wrap-around can insert a proc twice into one set). *)
-  Array.map (List.sort_uniq compare) sets
+  sets
 
 let cache_map ?only program config layout =
   let sets = occupants ?only program config layout in

@@ -88,12 +88,9 @@ let cache_4way = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:4
 let anneal_iterations = 3_000
 
 let anneal_unit name r =
-  let program = Runner.program r in
-  let config = r.Runner.config and prof = r.Runner.prof in
+  let program = Runner.program r and config = r.Runner.config and prof = r.Runner.prof in
   let init = Trg_place.Anneal.gbsc_offsets config program prof in
-  let params =
-    { Trg_place.Anneal.default_params with iterations = anneal_iterations }
-  in
+  let params = { Trg_place.Anneal.default_params with iterations = anneal_iterations } in
   unit_of name "anneal" (fun () ->
       ignore (Trg_place.Anneal.place ~params ~init config program prof))
 

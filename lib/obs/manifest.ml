@@ -143,6 +143,14 @@ let relative_delta a b =
   if a = b then 0.
   else Float.abs (b -. a) /. Float.max 1. (Float.abs a)
 
+let selected ~only metric =
+  let i = match String.index_opt metric '/' with Some i -> i + 1 | None -> 0 in
+  let tail = String.sub metric i (String.length metric - i) in
+  only = []
+  || List.exists
+       (fun p -> String.starts_with ~prefix:p metric || String.starts_with ~prefix:p tail)
+       only
+
 let diff ?(tolerance = 0.) base current =
   let a = comparable base and b = comparable current in
   let tbl = Hashtbl.create 64 in

@@ -68,6 +68,10 @@ type drift = {
           [infinity] when the metric exists on only one side *)
 }
 
+val selected : only:string list -> string -> bool
+(** The [--only] rule of [compare] and [stats]: [only] is empty, or one of
+    its prefixes starts the ["kind/name"] metric or the name after the kind. *)
+
 val diff : ?tolerance:float -> Json.t -> Json.t -> drift list
 (** [diff ~tolerance base current] compares the {e deterministic} metric
     surface of two manifests — counters, gauges and histogram totals —

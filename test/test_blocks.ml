@@ -81,7 +81,7 @@ let test_reorder_improves_small_benchmark () =
 
 let runner = lazy (Trg_eval.Runner.prepare (Bench.find "small"))
 
-let test_anneal_cost_matches_shared_sets () =
+let test_anneal_cost_sane () =
   (* Two single-chunk procedures with one TRG edge: overlapping offsets
      cost w, disjoint offsets cost 0. *)
   let r = Lazy.force runner in
@@ -154,7 +154,7 @@ let suite =
     Alcotest.test_case "reorder cuts spanning events" `Quick test_reorder_spanning_event_is_cut;
     Alcotest.test_case "reorder identity without profile" `Quick test_reorder_untouched_without_profile;
     Alcotest.test_case "reorder improves small benchmark" `Quick test_reorder_improves_small_benchmark;
-    Alcotest.test_case "anneal cost sane" `Quick test_anneal_cost_matches_shared_sets;
+    Alcotest.test_case "anneal cost sane" `Quick test_anneal_cost_sane;
     Alcotest.test_case "anneal warm start no worse" `Quick test_anneal_warm_start_no_worse;
     Alcotest.test_case "anneal layout complete" `Quick test_anneal_layout_complete;
     Alcotest.test_case "anneal deterministic" `Quick test_anneal_deterministic;

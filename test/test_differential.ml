@@ -862,7 +862,8 @@ let arb_wall_workload =
 let check_incr_matches_full ~cache ~model ~select program ~shift_seed =
   let n_sets = Trg_cache.Config.n_sets cache in
   let line_size = cache.Trg_cache.Config.line_size in
-  match Cost.seed_incr model program ~line_size ~n_sets with
+  let evaluator = Cost.prepare model program ~line_size ~n_sets in
+  match Cost.seed_incr evaluator with
   | None -> QCheck.Test.fail_reportf "seed_incr refused an integral model"
   | Some eng ->
     let rng = Prng.create shift_seed in
@@ -870,7 +871,7 @@ let check_incr_matches_full ~cache ~model ~select program ~shift_seed =
     let repr n = fst (List.hd (Node.members n)) in
     let merge n1 n2 =
       let from_incr = Incr.cost eng ~fixed:(repr n1) ~moving:(repr n2) in
-      let from_full = Cost.offsets_cost model program ~line_size ~n_sets ~n1 ~n2 in
+      let from_full = Cost.offsets_cost evaluator ~n1 ~n2 in
       if from_incr <> from_full then
         QCheck.Test.fail_reportf
           "cost arrays diverge at merge %d (|%d| vs |%d|, first diff at %d)"
@@ -1004,6 +1005,207 @@ let test_incr_work_reduction () =
     true
     (incr_m > 0 && incr_calls = 0)
 
+(* --- the set-range kernel against the pre-Geometry code ----------------- *)
+
+module Geometry = Trg_place.Geometry
+module Metric = Trg_place.Metric
+module Anneal = Trg_place.Anneal
+module Chunk = Trg_program.Chunk
+module Perturb = Trg_profile.Perturb
+module Pair_db = Trg_profile.Pair_db
+module Tuple_db = Trg_profile.Tuple_db
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+(* One random geometry per seed: a set count that is mostly not a power
+   of two, a chunk of one to eight lines, and procedure sizes up to
+   twice the cache, so blocks start anywhere, wrap, and cover every
+   set. *)
+type kernel_case = {
+  rng : Prng.t;
+  n_sets : int;
+  line_size : int;
+  chunk_size : int;
+  program : Program.t;
+}
+
+let kernel_case seed =
+  let rng = Prng.create seed in
+  let n_sets = Prng.choose rng [| 1; 3; 5; 6; 7; 8; 12; 13; 24; 31 |] in
+  let line_size = Prng.choose rng [| 16; 32 |] in
+  let chunk_size = line_size * Prng.choose rng [| 1; 2; 3; 8 |] in
+  let cache = n_sets * line_size in
+  let sizes = Array.init (2 + Prng.int rng 9) (fun _ -> 1 + Prng.int rng (2 * cache)) in
+  { rng; n_sets; line_size; chunk_size; program = Program.of_sizes sizes }
+
+let print_kernel_case seed =
+  let k = kernel_case seed in
+  Printf.sprintf "seed %d: %d sets of %d B, %d B chunks, sizes %s" seed k.n_sets
+    k.line_size k.chunk_size
+    (QCheck.Print.(list int)
+       (List.init (Program.n_procs k.program) (Program.size k.program)))
+
+let arb_kernel_seed = QCheck.make ~print:print_kernel_case QCheck.Gen.int
+
+(* Profile weights go through [Perturb], so they are not integers and a
+   changed order of additions would show in the bits. *)
+let random_graph rng ~n ~edges =
+  Perturb.graph rng ~s:Perturb.default_s
+    (Graph.of_edges
+       (List.init edges (fun _ ->
+            (Prng.int rng n, Prng.int rng n, float_of_int (1 + Prng.int rng 9)))))
+
+let random_pairs rng ~n ~entries =
+  let db = Pair_db.create () in
+  for _ = 1 to entries do
+    let p = Prng.int rng n and r = Prng.int rng n and s = Prng.int rng n in
+    if p <> r && p <> s && r <> s then
+      Pair_db.add db ~p ~r ~s (float_of_int (1 + Prng.int rng 9))
+  done;
+  Perturb.pair_db rng ~s:Perturb.default_s db
+
+let random_tuples rng ~n ~arity ~entries =
+  let db = Tuple_db.create ~arity in
+  for _ = 1 to entries do
+    let p = Prng.int rng n in
+    let ids = List.sort_uniq compare (List.init arity (fun _ -> Prng.int rng n)) in
+    if List.length ids = arity && not (List.mem p ids) then
+      Tuple_db.add db ~p ~ids (float_of_int (1 + Prng.int rng 9))
+  done;
+  Perturb.tuple_db rng ~s:Perturb.default_s db
+
+(* A node whose members after the first sit at random offsets. *)
+let random_node rng ~n_sets = function
+  | [] -> invalid_arg "random_node"
+  | p :: rest ->
+    List.fold_left
+      (fun node q ->
+        Node.union ~shift:(Prng.int rng n_sets) ~modulo:n_sets node (Node.singleton q))
+      (Node.singleton p) rest
+
+(* Two disjoint nonempty nodes over a random subset of the procedures. *)
+let random_split rng ~n_sets n_procs =
+  let order = Array.init n_procs Fun.id in
+  Prng.shuffle rng order;
+  let k = 2 + Prng.int rng (n_procs - 1) in
+  let cut = 1 + Prng.int rng (k - 1) in
+  ( random_node rng ~n_sets (Array.to_list (Array.sub order 0 cut)),
+    random_node rng ~n_sets (Array.to_list (Array.sub order cut (k - cut))) )
+
+let prop_cost_models_match_reference =
+  QCheck.Test.make ~name:"cost models match the reference over random geometry"
+    ~count:(scaled 300) arb_kernel_seed (fun seed ->
+      let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
+      let chunks = Chunk.make ~chunk_size program in
+      let n_chunks = Chunk.total chunks and n_procs = Program.n_procs program in
+      let trg = random_graph rng ~n:n_chunks ~edges:(3 * n_chunks) in
+      let wcg = random_graph rng ~n:n_procs ~edges:(3 * n_procs) in
+      let pairs = random_pairs rng ~n:n_chunks ~entries:60 in
+      let tuples =
+        random_tuples rng ~n:n_chunks ~arity:(2 + Prng.int rng 2) ~entries:60
+      in
+      let models =
+        [
+          ("Trg_chunks", Cost.Trg_chunks { chunks; trg });
+          ("Wcg_procs", Cost.Wcg_procs { wcg });
+          ("Sa_pairs", Cost.Sa_pairs { chunks; db = pairs });
+          ("Sa_tuples", Cost.Sa_tuples { chunks; db = tuples });
+          ( "Blend",
+            Cost.Blend
+              [
+                (Cost.Sa_tuples { chunks; db = tuples }, 1.0);
+                (Cost.Trg_chunks { chunks; trg }, 0.25);
+                (Cost.Wcg_procs { wcg }, 0.5);
+              ] );
+        ]
+      in
+      let splits = List.init 3 (fun _ -> random_split rng ~n_sets n_procs) in
+      let procs = Geometry.of_procs program ~line_size ~n_sets in
+      (* One evaluator serves every split, as one serves a whole
+         placement. *)
+      List.for_all
+        (fun (name, model) ->
+          let evaluator = Cost.prepare model program ~line_size ~n_sets in
+          List.for_all
+            (fun (n1, n2) ->
+              let got = Cost.offsets_cost evaluator ~n1 ~n2
+              and want = Cost_ref.offsets_cost model program ~line_size ~n_sets ~n1 ~n2 in
+              same_floats got want
+              || QCheck.Test.fail_reportf "%s: cost %s, reference %s" name
+                   (QCheck.Print.(array float) got)
+                   (QCheck.Print.(array float) want))
+            splits)
+        models
+      && List.for_all
+           (fun (n1, n2) ->
+             List.for_all
+               (fun node ->
+                 Geometry.occupancy procs (Node.members node)
+                 = Cost_ref.node_occupancy program ~line_size ~n_sets node)
+               [ n1; n2 ])
+           splits)
+
+(* Figure 6's metrics on layouts whose procedures start anywhere in a
+   line, with random gaps between them. *)
+let prop_metrics_match_reference =
+  QCheck.Test.make ~name:"metrics match the reference on unaligned layouts"
+    ~count:(scaled 300) arb_kernel_seed (fun seed ->
+      let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
+      let cache = Config.make ~size:(n_sets * line_size) ~line_size ~assoc:1 in
+      let chunks = Chunk.make ~chunk_size program in
+      let n_procs = Program.n_procs program in
+      let trg = random_graph rng ~n:(Chunk.total chunks) ~edges:(3 * Chunk.total chunks) in
+      let wcg = random_graph rng ~n:n_procs ~edges:(3 * n_procs) in
+      let order = Array.init n_procs Fun.id in
+      Prng.shuffle rng order;
+      let addr = Array.make n_procs 0 and cursor = ref (Prng.int rng (2 * line_size)) in
+      Array.iter
+        (fun p ->
+          addr.(p) <- !cursor;
+          cursor := !cursor + Program.size program p + Prng.int rng (2 * line_size))
+        order;
+      let layout = Layout.of_addresses program addr in
+      let check name got want =
+        same_bits got want
+        || QCheck.Test.fail_reportf "%s: %h, reference %h" name got want
+      in
+      check "trg_place"
+        (Metric.trg_place program ~chunks ~trg ~cache layout)
+        (Cost_ref.trg_place program ~chunks ~trg ~cache layout)
+      && check "wcg"
+           (Metric.wcg program ~wcg ~cache layout)
+           (Cost_ref.wcg program ~wcg ~cache layout))
+
+(* The annealer's objective at random offsets, some past the set count,
+   on a profile of a random walk. *)
+let prop_anneal_cost_matches_reference =
+  QCheck.Test.make ~name:"anneal cost matches the reference at random offsets"
+    ~count:(scaled 100) arb_kernel_seed (fun seed ->
+      let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
+      let cache = Config.make ~size:(n_sets * line_size) ~line_size ~assoc:1 in
+      let config = { (Gbsc.default_config ~cache ()) with Gbsc.chunk_size } in
+      let n_procs = Program.n_procs program in
+      let trace =
+        Trace.of_list
+          (List.init 200 (fun _ ->
+               let proc = Prng.int rng n_procs in
+               let size = Program.size program proc in
+               let offset = Prng.int rng size in
+               Event.make ~kind:Event.Enter ~proc ~offset
+                 ~len:(1 + Prng.int rng (size - offset))))
+      in
+      let profile = Gbsc.profile config program trace in
+      let offsets =
+        List.filter_map
+          (fun p -> if Prng.int rng 4 = 0 then None else Some (p, Prng.int rng (3 * n_sets)))
+          (List.init n_procs Fun.id)
+      in
+      let got = Anneal.cost config program ~profile ~offsets
+      and want = Cost_ref.anneal_cost config program ~profile ~offsets in
+      same_bits got want || QCheck.Test.fail_reportf "cost %h, reference %h" got want)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
@@ -1020,6 +1222,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incr_matches_full_chunk_model;
     QCheck_alcotest.to_alcotest prop_incr_matches_full_wcg_model;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_placements;
+    QCheck_alcotest.to_alcotest prop_cost_models_match_reference;
+    QCheck_alcotest.to_alcotest prop_metrics_match_reference;
+    QCheck_alcotest.to_alcotest prop_anneal_cost_matches_reference;
     Alcotest.test_case "incr engine 10x work reduction on small" `Quick
       test_incr_work_reduction;
   ]

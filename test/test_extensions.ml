@@ -15,6 +15,7 @@ module Graph = Trg_profile.Graph
 module Chunk_counts = Trg_profile.Chunk_counts
 module Cost = Trg_place.Cost
 module Node = Trg_place.Node
+module Geometry = Trg_place.Geometry
 module Split = Trg_place.Split
 module Gbsc = Trg_place.Gbsc
 module Linearize = Trg_place.Linearize
@@ -239,7 +240,8 @@ let test_plot_rejects_empty () =
 let test_node_occupancy () =
   let program = Program.of_sizes [| 64; 32 |] in
   let node = Node.union ~shift:3 ~modulo:8 (Node.singleton 0) (Node.singleton 1) in
-  let occ = Cost.node_occupancy program ~line_size:32 ~n_sets:8 node in
+  let g = Geometry.of_procs program ~line_size:32 ~n_sets:8 in
+  let occ = Geometry.occupancy g (Node.members node) in
   Alcotest.(check (array bool)) "sets 0,1 (p0) and 3 (p1)"
     [| true; true; false; true; false; false; false; false |]
     occ
@@ -441,6 +443,16 @@ let test_view_cache_map () =
          has "000-000" && has "p0" && has "p1")
        lines)
 
+(* A procedure that starts mid-line spills into one more line than its
+   size alone needs: bytes 20-39 cover sets 0 and 1. *)
+let test_view_mid_line_start () =
+  let program = Program.of_sizes [| 20; 20 |] in
+  let cache = Config.make ~size:128 ~line_size:32 ~assoc:1 in
+  let layout = Layout.of_addresses program [| 0; 20 |] in
+  Alcotest.(check string) "p1 in sets 0 and 1"
+    "  sets 000-000: p0 p1\n  sets 001-001: p1\n  sets 002-003: -\n"
+    (Trg_place.View.cache_map program cache layout)
+
 let test_view_occupancy_summary () =
   let program = Program.of_sizes [| 64; 32 |] in
   let cache = Config.make ~size:128 ~line_size:32 ~assoc:1 in
@@ -453,5 +465,6 @@ let suite =
   @ [
       Alcotest.test_case "graph to_dot" `Quick test_graph_to_dot;
       Alcotest.test_case "view cache map" `Quick test_view_cache_map;
+      Alcotest.test_case "view mid-line start" `Quick test_view_mid_line_start;
       Alcotest.test_case "view occupancy summary" `Quick test_view_occupancy_summary;
     ]

@@ -346,6 +346,19 @@ let manifest_with ?(counters = []) ?(gauges = []) ?(totals = []) () =
       ("spans", Json.List [ Json.Obj [ ("wall_s", Json.Float 99.) ] ]);
     ]
 
+(* The [--only] rule of [compare] and [stats]: a prefix of the full
+   "kind/name" metric, or of the name after the kind. *)
+let test_manifest_selected () =
+  let sel only m = Manifest.selected ~only m in
+  Alcotest.(check bool) "no prefix selects all" true (sel [] "counters/sim/misses");
+  Alcotest.(check bool) "full-name prefix" true (sel [ "counters/sim/" ] "counters/sim/misses");
+  Alcotest.(check bool) "name prefix after the kind" true (sel [ "sim/" ] "counters/sim/misses");
+  Alcotest.(check bool) "any of several prefixes" true
+    (sel [ "attrib/"; "sim/" ] "gauges/sim/peak");
+  Alcotest.(check bool) "other kind's full name" false (sel [ "gauges/" ] "counters/sim/misses");
+  Alcotest.(check bool) "mid-name substring" false (sel [ "misses" ] "counters/sim/misses");
+  Alcotest.(check bool) "no kind segment" true (sel [ "sim" ] "sim")
+
 let test_manifest_diff () =
   let base =
     manifest_with
@@ -1011,6 +1024,7 @@ let suite =
     Alcotest.test_case "manifest validation rejects" `Quick test_manifest_validate_rejects;
     Alcotest.test_case "manifest schema versions" `Quick test_manifest_schema_versions;
     Alcotest.test_case "manifest diff" `Quick test_manifest_diff;
+    Alcotest.test_case "manifest only prefixes" `Quick test_manifest_selected;
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_export;
     Alcotest.test_case "chrome distinct lanes" `Quick test_chrome_distinct_lanes;
     Alcotest.test_case "perf ledger roundtrip" `Quick test_perf_ledger_roundtrip;

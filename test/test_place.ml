@@ -16,6 +16,7 @@ module Ph = Trg_place.Ph
 module Gbsc = Trg_place.Gbsc
 module Hkc = Trg_place.Hkc
 module Metric = Trg_place.Metric
+module Geometry = Trg_place.Geometry
 module Toy = Trg_synth.Toy
 
 (* --- Node -------------------------------------------------------------- *)
@@ -169,7 +170,8 @@ let test_cost_first_zero_after_p () =
   let chunks = Chunk.make ~chunk_size:256 program in
   let trg = Graph.of_edges [ (0, 1, 10.) ] in
   let cost =
-    Cost.offsets_cost (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:8
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:8)
       ~n1:(Node.singleton 0) ~n2:(Node.singleton 1)
   in
   Alcotest.(check bool) "offset 0 conflicts" true (cost.(0) > 0.);
@@ -182,7 +184,8 @@ let test_cost_respects_sizes () =
   let chunks = Chunk.make ~chunk_size:256 program in
   let trg = Graph.of_edges [ (0, 1, 10.) ] in
   let cost =
-    Cost.offsets_cost (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:8
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:8)
       ~n1:(Node.singleton 0) ~n2:(Node.singleton 1)
   in
   Alcotest.(check int) "offset 3" 3 (Cost.best_offset cost);
@@ -198,7 +201,8 @@ let test_cost_chunked_overlap_allowed () =
   (* chunk ids: proc0 -> 0,1; proc1 -> 2.  Edge only chunk0-q. *)
   let trg = Graph.of_edges [ (0, 2, 10.) ] in
   let cost =
-    Cost.offsets_cost (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:32
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Trg_chunks { chunks; trg }) program ~line_size ~n_sets:32)
       ~n1:(Node.singleton 0) ~n2:(Node.singleton 1)
   in
   (* Lines 0..7 hold the hot chunk (conflict); line 8 (cold chunk) is free. *)
@@ -211,7 +215,8 @@ let test_cost_wcg_model_whole_proc () =
   let program = Program.of_sizes [| 512; 32 |] in
   let wcg = Graph.of_edges [ (0, 1, 10.) ] in
   let cost =
-    Cost.offsets_cost (Cost.Wcg_procs { wcg }) program ~line_size ~n_sets:32
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Wcg_procs { wcg }) program ~line_size ~n_sets:32)
       ~n1:(Node.singleton 0) ~n2:(Node.singleton 1)
   in
   Alcotest.(check int) "after whole proc" 16 (Cost.best_offset cost)
@@ -228,7 +233,8 @@ let test_cost_sa_pairs_model () =
   (* r and s both at set 0 in n2's frame; p at set 0 in n1.  Conflict occurs
      at relative offset 0 only. *)
   let cost =
-    Cost.offsets_cost (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4)
       ~n1:(Node.singleton 0) ~n2
   in
   Alcotest.(check bool) "offset 0 charged" true (cost.(0) > 0.);
@@ -236,16 +242,18 @@ let test_cost_sa_pairs_model () =
   (* If r and s occupy different sets, no offset is charged. *)
   let n2' = Node.union ~shift:1 ~modulo:4 (Node.singleton 1) (Node.singleton 2) in
   let cost' =
-    Cost.offsets_cost (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4)
       ~n1:(Node.singleton 0) ~n2:n2'
   in
   Alcotest.(check (float 1e-9)) "split pair never charged" 0.
     (Array.fold_left ( +. ) 0. cost')
 
-let test_iter_lines_caps_at_n_sets () =
+let test_iter_sets_caps_at_n_sets () =
   let seen = ref [] in
-  Cost.iter_lines ~line_size:32 ~n_sets:4 ~start_set:2 ~bytes:(32 * 10) (fun l ->
-      seen := l :: !seen);
+  let g = Geometry.of_procs (Program.of_sizes [| 32 * 10 |]) ~line_size:32 ~n_sets:4 in
+  Geometry.iter_sets g (Geometry.start_set g ~owner_set:2 0) g.Geometry.lines.(0)
+    (fun l -> seen := l :: !seen);
   Alcotest.(check int) "at most n_sets lines" 4 (List.length !seen);
   Alcotest.(check (list int)) "wraps" [ 2; 3; 0; 1 ] (List.rev !seen)
 
@@ -501,7 +509,7 @@ let suite =
     Alcotest.test_case "cost chunked overlap allowed" `Quick test_cost_chunked_overlap_allowed;
     Alcotest.test_case "cost WCG whole proc" `Quick test_cost_wcg_model_whole_proc;
     Alcotest.test_case "cost SA pairs" `Quick test_cost_sa_pairs_model;
-    Alcotest.test_case "iter_lines caps" `Quick test_iter_lines_caps_at_n_sets;
+    Alcotest.test_case "iter_sets caps" `Quick test_iter_sets_caps_at_n_sets;
     Alcotest.test_case "linearize realises offsets" `Quick test_linearize_realises_offsets;
     Alcotest.test_case "linearize contiguous chains" `Quick test_linearize_contiguous_when_chained;
     Alcotest.test_case "linearize fills gaps" `Quick test_linearize_fills_gaps;
@@ -620,7 +628,7 @@ let test_seed_allocation () =
   let seeded = Trg_obs.Metrics.counter "cost/incr/seeded_pairs" in
   let p0 = Trg_obs.Metrics.value seeded in
   let m0 = Gc.minor_words () in
-  let engine = Cost.seed_incr model program ~line_size ~n_sets in
+  let engine = Cost.seed_incr (Cost.prepare model program ~line_size ~n_sets) in
   let minor = Gc.minor_words () -. m0 in
   let pairs = Trg_obs.Metrics.value seeded - p0 in
   Alcotest.(check bool) "seeded" true (Option.is_some engine && pairs >= 100);
@@ -640,7 +648,7 @@ let test_incr_release () =
   let model = Cost.Trg_chunks { chunks = prof.Gbsc.chunks; trg = prof.Gbsc.place.Trg.graph } in
   let line_size = config.Gbsc.cache.Config.line_size in
   let n_sets = Config.n_sets config.Gbsc.cache in
-  let seed () = Option.get (Cost.seed_incr model program ~line_size ~n_sets) in
+  let seed () = Option.get (Cost.seed_incr (Cost.prepare model program ~line_size ~n_sets)) in
   let pairs =
     Array.to_list (Array.map (fun (u, v, _) -> (u, v)) (Graph.edges prof.Gbsc.select.Trg.graph))
   in

@@ -92,8 +92,9 @@ let test_cost_sa_tuples () =
       (Node.singleton 2)
   in
   let cost =
-    Cost.offsets_cost (Cost.Sa_tuples { chunks; db }) program ~line_size:32
-      ~n_sets:4 ~n1 ~n2:(Node.singleton 3)
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Sa_tuples { chunks; db }) program ~line_size:32 ~n_sets:4)
+      ~n1 ~n2:(Node.singleton 3)
   in
   Alcotest.(check (float 1e-9)) "offset 0 charged" 7. cost.(0);
   Alcotest.(check (float 1e-9)) "offset 1 free" 0. cost.(1);
@@ -104,8 +105,9 @@ let test_cost_sa_tuples () =
       (Node.singleton 2)
   in
   let cost' =
-    Cost.offsets_cost (Cost.Sa_tuples { chunks; db }) program ~line_size:32
-      ~n_sets:4 ~n1:n1' ~n2:(Node.singleton 3)
+    Cost.offsets_cost
+      (Cost.prepare (Cost.Sa_tuples { chunks; db }) program ~line_size:32 ~n_sets:4)
+      ~n1:n1' ~n2:(Node.singleton 3)
   in
   Alcotest.(check (float 1e-9)) "split tuple never charged" 0.
     (Array.fold_left ( +. ) 0. cost')
@@ -118,8 +120,8 @@ let test_cost_blend_normalises () =
     Cost.Blend [ (Cost.Trg_chunks { chunks; trg }, 1.0) ]
   in
   let cost =
-    Cost.offsets_cost model program ~line_size:32 ~n_sets:4 ~n1:(Node.singleton 0)
-      ~n2:(Node.singleton 1)
+    Cost.offsets_cost (Cost.prepare model program ~line_size:32 ~n_sets:4)
+      ~n1:(Node.singleton 0) ~n2:(Node.singleton 1)
   in
   (* Normalised: total mass 1 regardless of the edge weight. *)
   Alcotest.(check (float 1e-9)) "unit mass" 1. (Array.fold_left ( +. ) 0. cost);
