@@ -22,20 +22,22 @@ type eval =
 
 (* During one evaluation, [side.(p)] is 1 for a member of the fixed
    node, 2 for one of the moving node and 0 otherwise, and [off.(p)] is
-   a member's offset. *)
-type t = { n_sets : int; side : int array; off : int array; eval : eval }
+   a member's offset.  [procs] is the per-procedure geometry. *)
+type t =
+  { n_sets : int; side : int array; off : int array; procs : Geometry.t Lazy.t; eval : eval }
 
 let prepare model program ~line_size ~n_sets =
+  let procs = lazy (Geometry.of_procs program ~line_size ~n_sets) in
   let chunk_geometry chunks = Geometry.of_chunks chunks ~line_size ~n_sets in
   let rec eval = function
     | Trg_chunks { chunks; trg } -> Graph_cost (chunk_geometry chunks, trg)
-    | Wcg_procs { wcg } -> Graph_cost (Geometry.of_procs program ~line_size ~n_sets, wcg)
+    | Wcg_procs { wcg } -> Graph_cost (Lazy.force procs, wcg)
     | Sa_pairs { chunks; db } -> Pairs (chunk_geometry chunks, db)
     | Sa_tuples { chunks; db } -> Tuples (chunk_geometry chunks, db)
     | Blend parts -> Blend_cost (List.map (fun (sub, w) -> (eval sub, w)) parts)
   in
   let n = Program.n_procs program in
-  { n_sets; side = Array.make n 0; off = Array.make n 0; eval = eval model }
+  { n_sets; side = Array.make n 0; off = Array.make n 0; procs; eval = eval model }
 
 let cost_graph t (g : Geometry.t) graph ~n2 cost =
   (* Visit each cross edge once, from the n2 side. *)
@@ -365,6 +367,15 @@ let best_offset (cost : float array) =
     if cost.(i) < cost.(!best) then best := i
   done;
   !best
+
+let occupancy t node =
+  let g = Lazy.force t.procs and occ = Array.make t.n_sets false in
+  List.iter
+    (fun (p, o) ->
+      Geometry.iter_sets g (Geometry.start_set g ~owner_set:o p) g.lines.(p) (fun s ->
+          occ.(s) <- true))
+    (Node.members node);
+  occ
 
 let best_offset_packed (cost : float array) ~n1 ~n2 =
   let n_sets = Array.length cost in

@@ -81,6 +81,9 @@ val best_offset : float array -> int
 (** Index of the minimum cost; the {e first} such index, per the paper's
     tie rule (Section 4.2, note 3). *)
 
+val occupancy : t -> Node.t -> bool array
+(** The cache sets any procedure of the node covers. *)
+
 val best_offset_packed : float array -> n1:bool array -> n2:bool array -> int
 (** Like {!best_offset}, but ties in the conflict cost are broken by the
     number of occupied-set collisions between the two nodes (then by the

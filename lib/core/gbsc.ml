@@ -94,7 +94,6 @@ let place_nodes ?decisions config program ~select ~model =
     | Cost.Incr -> Cost.seed_incr evaluator
     | Cost.Full -> None
   in
-  let procs = lazy (Geometry.of_procs program ~line_size ~n_sets) in
   let repr n = fst (List.hd (Node.members n)) in
   let merge n1 n2 =
     let cost =
@@ -109,8 +108,7 @@ let place_nodes ?decisions config program ~select ~model =
     let shift =
       if packed_ties then
         Cost.best_offset_packed cost
-          ~n1:(Geometry.occupancy (Lazy.force procs) (Node.members n1))
-          ~n2:(Geometry.occupancy (Lazy.force procs) (Node.members n2))
+          ~n1:(Cost.occupancy evaluator n1) ~n2:(Cost.occupancy evaluator n2)
       else Cost.best_offset cost
     in
     (match engine with

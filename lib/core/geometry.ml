@@ -80,13 +80,3 @@ let correlate g cost ~w s1 l1 s2 l2 =
     done;
     i := if c + 1 = n then 0 else c + 1
   done
-
-let occupancy g members =
-  let occ = Array.make g.n_sets false in
-  List.iter
-    (fun (p, owner_set) ->
-      for b = g.proc_first.(p) to g.proc_first.(p + 1) - 1 do
-        iter_sets g (start_set g ~owner_set b) g.lines.(b) (fun s -> occ.(s) <- true)
-      done)
-    members;
-  occ

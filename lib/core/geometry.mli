@@ -44,6 +44,3 @@ val correlate : t -> float array -> w:float -> int -> int -> int -> int -> unit
     n_sets)] for each set [x1] of the fixed interval and [x2] of the
     moving one, one addition at a time: every cell sums as a walk over
     the set pairs would, non-integral weights included. *)
-
-val occupancy : t -> (int * int) list -> bool array
-(** The sets any block of a node's [(procedure, owner_set)] members covers. *)

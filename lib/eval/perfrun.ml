@@ -83,14 +83,12 @@ let gbsc_units name r =
 (* The 8 KB 4-way cache of the Section 6 experiments. *)
 let cache_4way = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:4
 
-(* Proposed moves of the anneal unit: a twentieth of the E12 headroom
-   search's, from GBSC's offsets instead of random ones. *)
-let anneal_iterations = 3_000
-
+(* 3,000 proposed moves: a twentieth of the E12 headroom search's, from
+   GBSC's offsets instead of random ones. *)
 let anneal_unit name r =
   let program = Runner.program r and config = r.Runner.config and prof = r.Runner.prof in
   let init = Trg_place.Anneal.gbsc_offsets config program prof in
-  let params = { Trg_place.Anneal.default_params with iterations = anneal_iterations } in
+  let params = { Trg_place.Anneal.default_params with iterations = 3_000 } in
   unit_of name "anneal" (fun () ->
       ignore (Trg_place.Anneal.place ~params ~init config program prof))
 

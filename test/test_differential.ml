@@ -1122,7 +1122,6 @@ let prop_cost_models_match_reference =
         ]
       in
       let splits = List.init 3 (fun _ -> random_split rng ~n_sets n_procs) in
-      let procs = Geometry.of_procs program ~line_size ~n_sets in
       (* One evaluator serves every split, as one serves a whole
          placement. *)
       List.for_all
@@ -1138,14 +1137,16 @@ let prop_cost_models_match_reference =
                    (QCheck.Print.(array float) want))
             splits)
         models
-      && List.for_all
-           (fun (n1, n2) ->
-             List.for_all
-               (fun node ->
-                 Geometry.occupancy procs (Node.members node)
-                 = Cost_ref.node_occupancy program ~line_size ~n_sets node)
-               [ n1; n2 ])
-           splits)
+      &&
+      let evaluator = Cost.prepare (Cost.Wcg_procs { wcg }) program ~line_size ~n_sets in
+      List.for_all
+        (fun (n1, n2) ->
+          List.for_all
+            (fun node ->
+              Cost.occupancy evaluator node
+              = Cost_ref.node_occupancy program ~line_size ~n_sets node)
+            [ n1; n2 ])
+        splits)
 
 (* Figure 6's metrics on layouts whose procedures start anywhere in a
    line, with random gaps between them. *)

@@ -15,7 +15,6 @@ module Graph = Trg_profile.Graph
 module Chunk_counts = Trg_profile.Chunk_counts
 module Cost = Trg_place.Cost
 module Node = Trg_place.Node
-module Geometry = Trg_place.Geometry
 module Split = Trg_place.Split
 module Gbsc = Trg_place.Gbsc
 module Linearize = Trg_place.Linearize
@@ -240,8 +239,10 @@ let test_plot_rejects_empty () =
 let test_node_occupancy () =
   let program = Program.of_sizes [| 64; 32 |] in
   let node = Node.union ~shift:3 ~modulo:8 (Node.singleton 0) (Node.singleton 1) in
-  let g = Geometry.of_procs program ~line_size:32 ~n_sets:8 in
-  let occ = Geometry.occupancy g (Node.members node) in
+  let wcg = Trg_profile.Graph.of_edges [] in
+  let occ =
+    Cost.occupancy (Cost.prepare (Cost.Wcg_procs { wcg }) program ~line_size:32 ~n_sets:8) node
+  in
   Alcotest.(check (array bool)) "sets 0,1 (p0) and 3 (p1)"
     [| true; true; false; true; false; false; false; false |]
     occ
