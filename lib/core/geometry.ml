@@ -5,48 +5,46 @@ type t = {
   n_sets : int;
   line_size : int;
   owner : int array;
-  offset : int array;
-  bytes : int array;
+  offset : int -> int;
+  bytes : int -> int;
   first : int array;
   lines : int array;
   proc_first : int array;
 }
 
-let make ~line_size ~n_sets ~proc_first ~owner ~offset ~bytes =
+let make ~line_size ~n_sets ~n_blocks ~proc_first ~owner ~offset ~bytes =
   {
     n_sets;
     line_size;
     owner;
     offset;
     bytes;
-    first = Array.map (fun o -> o / line_size mod n_sets) offset;
-    lines = Array.map (fun b -> min n_sets ((b + line_size - 1) / line_size)) bytes;
+    first = Array.init n_blocks (fun b -> offset b / line_size mod n_sets);
+    lines = Array.init n_blocks (fun b -> min n_sets ((bytes b + line_size - 1) / line_size));
     proc_first;
   }
 
 let of_chunks chunks ~line_size ~n_sets =
   let n = Chunk.total chunks and n_procs = Chunk.n_procs chunks in
-  let offset c = Chunk.index_in_proc chunks c * Chunk.chunk_size chunks in
-  make ~line_size ~n_sets
+  make ~line_size ~n_sets ~n_blocks:n
     ~proc_first:
       (Array.init (n_procs + 1) (fun p -> if p < n_procs then Chunk.first chunks p else n))
     ~owner:(Array.init n (Chunk.owner chunks))
-    ~offset:(Array.init n offset)
-    ~bytes:(Array.init n (Chunk.size_of chunks))
+    ~offset:(fun c -> Chunk.index_in_proc chunks c * Chunk.chunk_size chunks)
+    ~bytes:(Chunk.size_of chunks)
 
 let of_procs program ~line_size ~n_sets =
   let n = Program.n_procs program in
-  make ~line_size ~n_sets ~proc_first:(Array.init (n + 1) Fun.id)
-    ~owner:(Array.init n Fun.id) ~offset:(Array.make n 0)
-    ~bytes:(Array.init n (Program.size program))
+  make ~line_size ~n_sets ~n_blocks:n ~proc_first:(Array.init (n + 1) Fun.id)
+    ~owner:(Array.init n Fun.id) ~offset:(fun _ -> 0) ~bytes:(Program.size program)
 
 let[@inline] start_set g ~owner_set b = (owner_set + g.first.(b)) mod g.n_sets
 
-let[@inline] placed_start g ~address b = (address + g.offset.(b)) / g.line_size mod g.n_sets
+let[@inline] placed_start g ~address b = (address + g.offset b) / g.line_size mod g.n_sets
 
 let[@inline] placed_lines g ~address b =
-  let a = address + g.offset.(b) in
-  min g.n_sets (((a + g.bytes.(b) - 1) / g.line_size) - (a / g.line_size) + 1)
+  let a = address + g.offset b in
+  min g.n_sets (((a + g.bytes b - 1) / g.line_size) - (a / g.line_size) + 1)
 
 let iter_sets g s l f =
   let wrap = s + l - g.n_sets in

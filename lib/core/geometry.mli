@@ -8,8 +8,8 @@ type t = private {
   n_sets : int;
   line_size : int;
   owner : int array;  (** block -> its procedure *)
-  offset : int array;  (** block -> its first byte, from its owner's start *)
-  bytes : int array;  (** block -> its size in bytes *)
+  offset : int -> int;  (** block -> its first byte, from its owner's start *)
+  bytes : int -> int;  (** block -> its size in bytes *)
   first : int array;  (** block -> its first line's set, its owner's at set 0 *)
   lines : int array;  (** block -> the lines it covers, at most [n_sets] *)
   proc_first : int array;
