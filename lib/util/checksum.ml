@@ -1,5 +1,8 @@
-(* Slicing-by-8 CRC-32.  The digest lives in the low 32 bits of an int;
-   OCaml ints are 63-bit so no overflow handling is needed.
+(* CRC-32.  The digest lives in the low 32 bits of an int; OCaml ints
+   are 63-bit so no overflow handling is needed.  Slices of 64 bytes or
+   more go through the carry-less fold of crc_stubs.c where the processor
+   has it, up to their last 16-byte multiple; everything else, and every
+   slice on other processors, goes through slicing-by-8.
 
    [tables] holds eight 256-entry tables back to back: table 0 is the
    classic byte-at-a-time table, and entry [n] of table [k] is the CRC
@@ -30,12 +33,12 @@ let empty = 0
 
 let word s i = Int32.to_int (String.get_int32_le s i) land mask
 
-let substring ?(crc = empty) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Checksum.substring";
+(* [c] is the 32-bit register, held inverted as the digest starts it;
+   [slice8] and [fold] below both take and return it so. *)
+let slice8 c s ~pos ~len =
   let t = Lazy.force tables in
   (* A 32-bit register keeps every table index below in range. *)
-  let c = ref ((crc lxor mask) land mask) in
+  let c = ref c in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
@@ -54,7 +57,36 @@ let substring ?(crc = empty) s ~pos ~len =
   for j = stop8 to pos + len - 1 do
     c := (!c lsr 8) lxor t.((!c lxor Char.code (String.unsafe_get s j)) land 0xFF)
   done;
-  !c lxor mask
+  !c
+
+(* The carry-less fold of crc_stubs.c: [len] a multiple of 16, at least
+   64, read from [pos]. *)
+external fold :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "trg_crc_fold_byte" "trg_crc_fold"
+[@@noalloc]
+
+external fold_supported : unit -> bool = "trg_crc_accelerated" [@@noalloc]
+
+let accelerated = fold_supported ()
+
+let check_range name s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg name
+
+let portable ?(crc = empty) s ~pos ~len =
+  check_range "Checksum.portable" s ~pos ~len;
+  slice8 ((crc lxor mask) land mask) s ~pos ~len lxor mask
+
+let substring ?(crc = empty) s ~pos ~len =
+  check_range "Checksum.substring" s ~pos ~len;
+  let c = (crc lxor mask) land mask in
+  let c =
+    if accelerated && len >= 64 then
+      let bulk = len land lnot 15 in
+      slice8 (fold c s pos bulk) s ~pos:(pos + bulk) ~len:(len - bulk)
+    else slice8 c s ~pos ~len
+  in
+  c lxor mask
 
 let string ?crc s = substring ?crc s ~pos:0 ~len:(String.length s)
 

@@ -81,40 +81,88 @@ let reference_crc ?(crc = 0) s ~pos ~len =
 
 let gen_crc = QCheck.Gen.int_bound 0xFFFFFFFF
 
-(* Every slice length 0-64 at every start 0-7: each tail length and each
-   alignment of the 8-byte steps. *)
+(* [Checksum.substring] folds slices of 64 bytes or more where the
+   processor can ([Checksum.accelerated]); [Checksum.portable] is
+   slicing-by-8 everywhere.  Both must be the byte loop. *)
+let both_paths = [ Checksum.substring; Checksum.portable ]
+
+(* Every slice length 0-256 at every start 0-15, so each 16-byte
+   alignment meets the fold's 64-byte threshold, one to three 64-byte
+   steps, the 16-byte steps and every tail length. *)
 let prop_crc_short_slices =
-  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte loop, every short slice"
-    ~count:50
+  QCheck.Test.make
+    ~name:"crc32 slicing-by-8 = byte loop, every slice of 0-256 bytes at offsets 0-15 (fold too)"
+    ~count:(Soak.scaled 50)
     (QCheck.make
-       QCheck.Gen.(pair (string_size (return 72)) gen_crc)
+       QCheck.Gen.(pair (string_size (return 272)) gen_crc)
        ~print:QCheck.Print.(pair string int))
     (fun (s, crc) ->
       List.for_all
         (fun pos ->
           List.for_all
             (fun len ->
-              Checksum.substring ~crc s ~pos ~len = reference_crc ~crc s ~pos ~len)
-            (List.init 65 Fun.id))
-        (List.init 8 Fun.id))
+              let want = reference_crc ~crc s ~pos ~len in
+              List.for_all (fun f -> f ?crc:(Some crc) s ~pos ~len = want) both_paths)
+            (List.init 257 Fun.id))
+        (List.init 16 Fun.id))
 
-(* Long strings, and a digest chained through a random split point. *)
+(* Long strings, digested whole and chained through random split points:
+   pieces below the fold's 64-byte threshold and above it. *)
 let prop_crc_long_and_chained =
-  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte loop, long and chained"
-    ~count:200
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte loop, long and chained (fold too)"
+    ~count:(Soak.scaled 200)
     (QCheck.make
-       QCheck.Gen.(triple (string_size (int_range 0 5000)) gen_crc (int_bound 5000))
-       ~print:(fun (s, crc, k) ->
-         Printf.sprintf "length %d, crc %d, split %d" (String.length s) crc k))
-    (fun (s, crc, k) ->
+       QCheck.Gen.(
+         triple
+           (string_size (int_range 0 5000))
+           gen_crc
+           (list_size (int_range 1 8) (oneof [ int_bound 63; int_range 64 2000 ])))
+       ~print:(fun (s, crc, pieces) ->
+         Printf.sprintf "length %d, crc %d, pieces [%s]" (String.length s) crc
+           (String.concat "; " (List.map string_of_int pieces))))
+    (fun (s, crc, pieces) ->
       let n = String.length s in
-      let k = min k n in
       let whole = reference_crc ~crc s ~pos:0 ~len:n in
+      let chained f =
+        let c, pos =
+          List.fold_left
+            (fun (c, pos) k ->
+              let len = min k (n - pos) in
+              (f ?crc:(Some c) s ~pos ~len, pos + len))
+            (crc, 0) pieces
+        in
+        f ?crc:(Some c) s ~pos ~len:(n - pos)
+      in
       Checksum.string ~crc s = whole
-      && Checksum.substring
-           ~crc:(Checksum.substring ~crc s ~pos:0 ~len:k)
-           s ~pos:k ~len:(n - k)
-         = whole)
+      && List.for_all (fun f -> f ?crc:(Some crc) s ~pos:0 ~len:n = whole && chained f = whole)
+           both_paths)
+
+(* A CPUID check that always fell back would pass every wall above, so
+   where Linux says the processor has PCLMULQDQ and SSE4.1 the fold must
+   have been selected. *)
+let cpu_has_fold () =
+  Sys.word_size = 64
+  && Sys.file_exists "/proc/cpuinfo"
+  &&
+  let flags =
+    In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_opt (fun l -> String.length l > 5 && String.sub l 0 5 = "flags")
+  in
+  match flags with
+  | None -> false
+  | Some l ->
+    let words = String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) l) in
+    List.mem "pclmulqdq" words && List.mem "sse4_1" words
+
+let test_crc_fold_selected () =
+  if cpu_has_fold () then
+    Alcotest.(check bool) "fold selected on a PCLMULQDQ/SSE4.1 processor" true
+      Checksum.accelerated;
+  let s = String.init 4099 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  Alcotest.(check int) "both paths agree"
+    (Checksum.portable s ~pos:3 ~len:4096)
+    (Checksum.substring s ~pos:3 ~len:4096)
 
 (* --- round-trips ----------------------------------------------------- *)
 
@@ -1115,6 +1163,8 @@ let suite =
     Alcotest.test_case "crc32 hex roundtrip" `Quick test_crc_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_crc_short_slices;
     QCheck_alcotest.to_alcotest prop_crc_long_and_chained;
+    Alcotest.test_case "crc32 fold selected where the processor has it" `Quick
+      test_crc_fold_selected;
     Alcotest.test_case "v2 text trace roundtrip" `Quick test_text_trace_roundtrip;
     Alcotest.test_case "v2 binary trace roundtrip" `Quick test_binary_trace_roundtrip;
     Alcotest.test_case "v2 program roundtrip" `Quick test_program_roundtrip;

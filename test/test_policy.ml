@@ -24,12 +24,6 @@ module Cpu = Trg_cache.Cpu
 module Event = Trg_trace.Event
 module Trace = Trg_trace.Trace
 
-(* Soak profile hook, as in Test_differential. *)
-let scaled n =
-  match Sys.getenv_opt "TRGPLACE_QCHECK_FACTOR" with
-  | Some f -> ( try n * int_of_string (String.trim f) with Failure _ -> n)
-  | None -> n
-
 (* --- probe vs reference, access for access --------------------------- *)
 
 let run_probe kind ~n_sets ~assoc seq =
@@ -67,14 +61,14 @@ let prop_policy_wall kind =
     ~name:
       (Printf.sprintf "policy wall: %s probe matches brute-force reference"
          (Policy.to_string kind))
-    ~count:(scaled 200) (workload ~assocs)
+    ~count:(Soak.scaled 200) (workload ~assocs)
     (fun (n_sets, assoc, seq) ->
       run_probe kind ~n_sets ~assoc seq = run_reference kind ~n_sets ~assoc seq)
 
 let prop_plru_equals_lru_low_assoc =
   QCheck.Test.make
     ~name:"policy wall: Tree-PLRU is exactly LRU at associativity <= 2"
-    ~count:(scaled 200)
+    ~count:(Soak.scaled 200)
     (workload ~assocs:[ 1; 2 ])
     (fun (n_sets, assoc, seq) ->
       run_probe Policy.Plru ~n_sets ~assoc seq
@@ -179,7 +173,7 @@ let gen_trace =
 let prop_attrib_3c_sums_every_policy =
   QCheck.Test.make
     ~name:"3C classes sum to total misses under every policy and assoc"
-    ~count:(scaled 60) gen_trace
+    ~count:(Soak.scaled 60) gen_trace
     (fun evs ->
       let trace = trace_of_events evs in
       List.for_all
@@ -200,7 +194,7 @@ let prop_attrib_3c_sums_every_policy =
 let prop_sim_flat_agrees_every_policy =
   QCheck.Test.make
     ~name:"Sim.simulate and Sim.simulate_flat agree under every policy"
-    ~count:(scaled 40) gen_trace
+    ~count:(Soak.scaled 40) gen_trace
     (fun evs ->
       let trace = trace_of_events evs in
       let flat = Trace.Flat.of_trace trace in
@@ -265,7 +259,7 @@ let two_level =
 
 let prop_hierarchy_invariants =
   QCheck.Test.make ~name:"hierarchy: filtering, per-level 3C sums, cycle model"
-    ~count:(scaled 60) gen_trace
+    ~count:(Soak.scaled 60) gen_trace
     (fun evs ->
       let trace = trace_of_events evs in
       let r = Hierarchy.simulate program layout two_level trace in

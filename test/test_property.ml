@@ -148,13 +148,6 @@ let prop_simulation_invariant_under_io =
 
 (* --- the packed Bigarray trace representation --------------------------- *)
 
-(* Soak profile hook: [dune runtest --profile soak] multiplies QCheck
-   iteration counts via TRGPLACE_QCHECK_FACTOR (see the root dune file). *)
-let scaled n =
-  match Sys.getenv_opt "TRGPLACE_QCHECK_FACTOR" with
-  | Some f -> ( try n * int_of_string (String.trim f) with Failure _ -> n)
-  | None -> n
-
 (* Arbitrary events across the full packed ranges, including the field
    extremes ([proc < 2^14], [offset < 2^24], [0 < len <= 2^22]) whose
    packed forms set the top bits of the native-int words. *)
@@ -183,7 +176,7 @@ let arb_events =
 
 let prop_flat_roundtrip =
   QCheck.Test.make ~name:"Flat.of_trace round-trips every event exactly"
-    ~count:(scaled 200) arb_events
+    ~count:(Soak.scaled 200) arb_events
     (fun evs ->
       let trace = Trace.of_list evs in
       let flat = Trace.Flat.of_trace trace in
@@ -201,7 +194,7 @@ let prop_flat_roundtrip =
 let prop_sim_flat_invariant =
   QCheck.Test.make
     ~name:"miss counts invariant under flat-backed simulation"
-    ~count:(scaled 60)
+    ~count:(Soak.scaled 60)
     QCheck.(pair arb_workload (int_range 1 2))
     (fun ((program, trace), assoc) ->
       let cache = Config.make ~size:(256 * assoc) ~line_size:32 ~assoc in
@@ -217,7 +210,7 @@ let prop_sim_flat_invariant =
 let prop_v3_io_roundtrip =
   QCheck.Test.make
     ~name:"miss counts invariant under Io v3 save/load round-trips"
-    ~count:(scaled 40) arb_workload
+    ~count:(Soak.scaled 40) arb_workload
     (fun (program, trace) ->
       let layout = Layout.default program in
       let misses t = (Sim.simulate program layout small_cache t).Sim.misses in
@@ -248,7 +241,7 @@ let packs_agree trace evs =
 
 let prop_builder_handover =
   QCheck.Test.make ~name:"builder hand-over leaves every built trace unchanged"
-    ~count:(scaled 200)
+    ~count:(Soak.scaled 200)
     QCheck.(triple arb_events (int_range 1 40) small_nat)
     (fun (evs, capacity, cut) ->
       let events = Array.of_list evs in
@@ -295,7 +288,7 @@ let prop_check_packed_matches_make =
   in
   let reason f = match f () with () -> None | exception Invalid_argument m -> Some m in
   QCheck.Test.make ~name:"Event.check_packed rejects exactly what make (unpack w) rejects"
-    ~count:(scaled 500)
+    ~count:(Soak.scaled 500)
     (QCheck.make gen ~print:(Printf.sprintf "%#x"))
     (fun w ->
       reason (fun () -> Event.check_packed w)
