@@ -22,9 +22,17 @@ type eval =
 
 (* During one evaluation, [side.(p)] is 1 for a member of the fixed
    node, 2 for one of the moving node and 0 otherwise, and [off.(p)] is
-   a member's offset.  [procs] is the per-procedure geometry. *)
-type t =
-  { n_sets : int; side : int array; off : int array; procs : Geometry.t Lazy.t; eval : eval }
+   a member's offset.  The incremental engine reads neither, so both are
+   empty until the first evaluation.  [procs] is the per-procedure
+   geometry. *)
+type t = {
+  n_sets : int;
+  n_procs : int;
+  mutable side : int array;
+  mutable off : int array;
+  procs : Geometry.t Lazy.t;
+  eval : eval;
+}
 
 let prepare model program ~line_size ~n_sets =
   let procs = lazy (Geometry.of_procs program ~line_size ~n_sets) in
@@ -36,8 +44,14 @@ let prepare model program ~line_size ~n_sets =
     | Sa_tuples { chunks; db } -> Tuples (chunk_geometry chunks, db)
     | Blend parts -> Blend_cost (List.map (fun (sub, w) -> (eval sub, w)) parts)
   in
-  let n = Program.n_procs program in
-  { n_sets; side = Array.make n 0; off = Array.make n 0; procs; eval = eval model }
+  {
+    n_sets;
+    n_procs = Program.n_procs program;
+    side = [||];
+    off = [||];
+    procs;
+    eval = eval model;
+  }
 
 let cost_graph t (g : Geometry.t) graph ~n2 cost =
   (* Visit each cross edge once, from the n2 side. *)
@@ -206,6 +220,10 @@ let rec eval_cost t eval ~n1 ~n2 =
 let mark t side = List.iter (fun (p, o) -> t.side.(p) <- side; t.off.(p) <- o)
 
 let offsets_cost t ~n1 ~n2 =
+  if Array.length t.side < t.n_procs then begin
+    t.side <- Array.make t.n_procs 0;
+    t.off <- Array.make t.n_procs 0
+  end;
   mark t 1 (Node.members n1);
   mark t 2 (Node.members n2);
   Fun.protect

@@ -25,11 +25,8 @@ let make ~line_size ~n_sets ~n_blocks ~proc_first ~owner ~offset ~bytes =
   }
 
 let of_chunks chunks ~line_size ~n_sets =
-  let n = Chunk.total chunks and n_procs = Chunk.n_procs chunks in
-  make ~line_size ~n_sets ~n_blocks:n
-    ~proc_first:
-      (Array.init (n_procs + 1) (fun p -> if p < n_procs then Chunk.first chunks p else n))
-    ~owner:(Array.init n (Chunk.owner chunks))
+  make ~line_size ~n_sets ~n_blocks:(Chunk.total chunks)
+    ~proc_first:(Chunk.first_array chunks) ~owner:(Chunk.owner_array chunks)
     ~offset:(fun c -> Chunk.index_in_proc chunks c * Chunk.chunk_size chunks)
     ~bytes:(Chunk.size_of chunks)
 

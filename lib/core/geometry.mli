@@ -7,7 +7,9 @@
 type t = private {
   n_sets : int;
   line_size : int;
-  owner : int array;  (** block -> its procedure *)
+  owner : int array;
+      (** block -> its procedure; may hold one slot more than there are
+          blocks, as {!of_chunks}' does for a program with no chunks *)
   offset : int -> int;  (** block -> its first byte, from its owner's start *)
   bytes : int -> int;  (** block -> its size in bytes *)
   first : int array;  (** block -> its first line's set, its owner's at set 0 *)
@@ -19,7 +21,8 @@ type t = private {
 
 val of_chunks : Trg_program.Chunk.t -> line_size:int -> n_sets:int -> t
 (** One block per chunk, by global chunk id.  The chunk size should be a
-    multiple of [line_size], as {!Gbsc} requires. *)
+    multiple of [line_size], as {!Gbsc} requires.  [owner] and
+    [proc_first] are the chunks' own arrays. *)
 
 val of_procs : Trg_program.Program.t -> line_size:int -> n_sets:int -> t
 (** One block per procedure, by procedure id. *)

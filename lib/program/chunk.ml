@@ -36,6 +36,10 @@ let proc_size t p = t.sizes.(p)
 
 let first t p = t.first.(p)
 
+let first_array t = t.first
+
+let owner_array t = t.owner
+
 let of_offset t ~proc ~offset =
   if offset < 0 || offset >= t.sizes.(proc) then
     invalid_arg

@@ -29,6 +29,15 @@ val proc_size : t -> int -> int
 val first : t -> int -> int
 (** Global id of chunk 0 of procedure [id]. *)
 
+val first_array : t -> int array
+(** [first] for every procedure [p < n_procs], then [total] at index
+    [n_procs]: procedure [p]'s chunks are [first_array.(p)] to
+    [first_array.(p + 1) - 1].  Shared, not copied: never write it. *)
+
+val owner_array : t -> int array
+(** [owner] for every chunk; a program with no chunks has one slot, 0.
+    Shared, not copied: never write it. *)
+
 val of_offset : t -> proc:int -> offset:int -> int
 (** Global chunk id containing byte [offset] of procedure [proc]. *)
 
