@@ -3,32 +3,64 @@ module Layout = Trg_program.Layout
 
 let round_up x align = (x + align - 1) / align * align
 
+(* The unpopular procedures by decreasing size, ties by increasing id,
+   with their sizes beside them.  [next] skips the entries used so far:
+   entry [i] is unused while [next.(i) = i], and [next.(n)] is [n]. *)
+type fillers = { ids : int array; sizes : int array; next : int array }
+
+let fillers program filler =
+  let ids = Array.copy filler in
+  Array.stable_sort
+    (fun a b ->
+      match compare (Program.size program b) (Program.size program a) with
+      | 0 -> compare a b
+      | c -> c)
+    ids;
+  let n = Array.length ids in
+  { ids; sizes = Array.map (Program.size program) ids; next = Array.init (n + 1) Fun.id }
+
+(* The first unused entry from [i] on, compressing the path to it. *)
+let next_unused f i =
+  let r = ref i in
+  while f.next.(!r) <> !r do
+    r := f.next.(!r)
+  done;
+  let j = ref i in
+  while !j <> !r do
+    let k = f.next.(!j) in
+    f.next.(!j) <- !r;
+    j := k
+  done;
+  !r
+
+(* The first entry of at most [room] bytes: every entry from it on fits. *)
+let first_fit f room =
+  let lo = ref 0 and hi = ref (Array.length f.sizes) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if f.sizes.(mid) <= room then hi := mid else lo := mid + 1
+  done;
+  !lo
+
 (* Largest-fit gap filling: repeatedly place the biggest unpopular procedure
-   that fits between [cursor] and [limit] (4-byte aligned). *)
-let fill_gap program addr ~fillers ~cursor ~limit =
+   that fits between [cursor] and [limit] (4-byte aligned), the first
+   unused one in [f]'s order. *)
+let fill_gap program addr f ~cursor ~limit =
+  let n = Array.length f.ids in
   let cur = ref (round_up cursor 4) in
   let continue = ref true in
   while !continue do
     let room = limit - !cur in
-    if room <= 0 then continue := false
+    let i = if room <= 0 then n else next_unused f (first_fit f room) in
+    if i = n then continue := false
     else begin
-      (* [fillers] is sorted by decreasing size; take the first unused
-         procedure that fits. *)
-      let found = ref None in
-      (try
-         List.iter
-           (fun p ->
-             if addr.(p) < 0 && Program.size program p <= room then begin
-               found := Some p;
-               raise Exit
-             end)
-           fillers
-       with Exit -> ());
-      match !found with
-      | None -> continue := false
-      | Some p ->
+      let p = f.ids.(i) in
+      f.next.(i) <- i + 1;
+      (* A procedure listed twice, or also placed, is used already. *)
+      if addr.(p) < 0 then begin
         addr.(p) <- !cur;
         cur := round_up (!cur + Program.size program p) 4
+      end
     end
   done
 
@@ -40,14 +72,7 @@ let layout ?affinity program ~line_size ~n_sets ~placed ~filler =
       if off < 0 || off >= n_sets then
         invalid_arg (Printf.sprintf "Linearize: offset %d out of range" off))
     placed;
-  let fillers_desc =
-    List.sort
-      (fun a b ->
-        match compare (Program.size program b) (Program.size program a) with
-        | 0 -> compare a b
-        | c -> c)
-      (Array.to_list filler)
-  in
+  let fillers = fillers program filler in
   let unplaced = Hashtbl.create 64 in
   List.iter (fun (p, off) -> Hashtbl.replace unplaced p off) placed;
   let cursor = ref 0 in
@@ -89,7 +114,7 @@ let layout ?affinity program ~line_size ~n_sets ~placed ~filler =
     | Some (_key, gap, p) ->
       Hashtbl.remove unplaced p;
       let target = (cur_line + gap) * line_size in
-      fill_gap program addr ~fillers:fillers_desc ~cursor:!cursor ~limit:target;
+      fill_gap program addr fillers ~cursor:!cursor ~limit:target;
       addr.(p) <- target;
       cursor := target + Program.size program p;
       last_placed := p;

@@ -24,13 +24,6 @@ module Trg = Trg_profile.Trg
 module Incr = Trg_cache.Incr
 module Metrics = Trg_obs.Metrics
 
-(* Soak profile hook: [dune runtest --profile soak] multiplies QCheck
-   iteration counts via TRGPLACE_QCHECK_FACTOR (see the root dune file). *)
-let scaled n =
-  match Sys.getenv_opt "TRGPLACE_QCHECK_FACTOR" with
-  | Some f -> ( try n * int_of_string (String.trim f) with Failure _ -> n)
-  | None -> n
-
 let with_engine k f =
   let prev = Cost.engine () in
   Cost.set_engine k;
@@ -169,7 +162,7 @@ let ref_view g =
 
 let prop_trg_stream_matches_reference =
   QCheck.Test.make ~name:"Trg.build_stream matches per-increment reference"
-    ~count:(scaled 200)
+    ~count:(Soak.scaled 200)
     (QCheck.make
        QCheck.Gen.(
          triple (gen_id_stream ~universe:100 ~max_len:800) (int_range 32 4096)
@@ -194,7 +187,7 @@ let prop_trg_stream_matches_reference =
    procedure the program lacks, must stop both after the same ids with
    the same exception. *)
 let prop_iter_chunks_matches_reference =
-  QCheck.Test.make ~name:"Trg.iter_chunks matches per-event iter_range" ~count:(scaled 300)
+  QCheck.Test.make ~name:"Trg.iter_chunks matches per-event iter_range" ~count:(Soak.scaled 300)
     (QCheck.make
        QCheck.Gen.(
          quad
@@ -344,7 +337,7 @@ let gen_walk_case =
 
 let prop_one_walk_matches_two_walks =
   QCheck.Test.make ~name:"Trg.build's one walk matches two reference walks"
-    ~count:(scaled 150)
+    ~count:(Soak.scaled 150)
     (QCheck.make gen_walk_case ~print:(fun (sizes, cs, capacity, kept, events) ->
          Printf.sprintf "sizes %s, chunk %d, capacity %d, kept %s, events %s"
            (QCheck.Print.(array int) sizes) cs capacity
@@ -545,7 +538,7 @@ let corrupt rng (decisions : Trg_obs.Journal.decision array) kind =
 
 let prop_merge_driver_matches_hashtbl_reference =
   QCheck.Test.make ~name:"merge driver matches the Hashtbl driver, ties included"
-    ~count:(scaled 300) QCheck.(int_range 0 1_000_000_000)
+    ~count:(Soak.scaled 300) QCheck.(int_range 0 1_000_000_000)
     (fun seed ->
       let graph = driver_case seed in
       let same what a b =
@@ -628,7 +621,7 @@ let prop_lru_matches_reference =
    its real cache is checked on a copy clipped to each procedure. *)
 let prop_direct_matches_reference =
   QCheck.Test.make ~name:"direct-mapped Sim matches reference over random geometry"
-    ~count:(scaled 500)
+    ~count:(Soak.scaled 500)
     QCheck.(
       make
         ~print:(fun ((policy, assoc), (line_size, n_sets, seed, n)) ->
@@ -899,7 +892,7 @@ let check_incr_matches_full ~cache ~model ~select program ~shift_seed =
 let prop_incr_matches_full_chunk_model =
   QCheck.Test.make
     ~name:"incr cost equals full recompute at every merge (chunk TRG model)"
-    ~count:(scaled 40)
+    ~count:(Soak.scaled 40)
     QCheck.(pair arb_wall_workload small_int)
     (fun ((cache, program, trace), shift_seed) ->
       let prof = Gbsc.profile (Gbsc.default_config ~cache ()) program trace in
@@ -913,7 +906,7 @@ let prop_incr_matches_full_chunk_model =
 let prop_incr_matches_full_wcg_model =
   QCheck.Test.make
     ~name:"incr cost equals full recompute at every merge (WCG model)"
-    ~count:(scaled 40)
+    ~count:(Soak.scaled 40)
     QCheck.(pair arb_wall_workload small_int)
     (fun ((cache, program, trace), shift_seed) ->
       let wcg = Wcg.build trace in
@@ -931,7 +924,7 @@ let sa_config = Gbsc.default_config ~cache:sa_cache ()
 let prop_engines_agree_on_placements =
   QCheck.Test.make
     ~name:"full and incr engines produce bit-identical placements"
-    ~count:(scaled 25) arb_place_workload
+    ~count:(Soak.scaled 25) arb_place_workload
     (fun (program, trace) ->
       let prof = Gbsc.profile place_config program trace in
       let wcg = Wcg.build trace in
@@ -1096,7 +1089,7 @@ let random_split rng ~n_sets n_procs =
 
 let prop_cost_models_match_reference =
   QCheck.Test.make ~name:"cost models match the reference over random geometry"
-    ~count:(scaled 300) arb_kernel_seed (fun seed ->
+    ~count:(Soak.scaled 300) arb_kernel_seed (fun seed ->
       let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
       let chunks = Chunk.make ~chunk_size program in
       let n_chunks = Chunk.total chunks and n_procs = Program.n_procs program in
@@ -1152,7 +1145,7 @@ let prop_cost_models_match_reference =
    line, with random gaps between them. *)
 let prop_metrics_match_reference =
   QCheck.Test.make ~name:"metrics match the reference on unaligned layouts"
-    ~count:(scaled 300) arb_kernel_seed (fun seed ->
+    ~count:(Soak.scaled 300) arb_kernel_seed (fun seed ->
       let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
       let cache = Config.make ~size:(n_sets * line_size) ~line_size ~assoc:1 in
       let chunks = Chunk.make ~chunk_size program in
@@ -1183,7 +1176,7 @@ let prop_metrics_match_reference =
    on a profile of a random walk. *)
 let prop_anneal_cost_matches_reference =
   QCheck.Test.make ~name:"anneal cost matches the reference at random offsets"
-    ~count:(scaled 100) arb_kernel_seed (fun seed ->
+    ~count:(Soak.scaled 100) arb_kernel_seed (fun seed ->
       let { rng; n_sets; line_size; chunk_size; program } = kernel_case seed in
       let cache = Config.make ~size:(n_sets * line_size) ~line_size ~assoc:1 in
       let config = { (Gbsc.default_config ~cache ()) with Gbsc.chunk_size } in
@@ -1207,6 +1200,55 @@ let prop_anneal_cost_matches_reference =
       and want = Cost_ref.anneal_cost config program ~profile ~offsets in
       same_bits got want || QCheck.Test.fail_reportf "cost %h, reference %h" got want)
 
+(* --- the linearizer's gap filling ----------------------------------------- *)
+
+module Linearize = Trg_place.Linearize
+
+(* Random programs split at random into popular procedures, each with a
+   target set, and fillers in random order.  Sizes come partly from a few
+   fixed values, so fillers tie on size and the id order decides, and
+   partly from 1 to 3x the cache, so some gaps take none.  The same
+   filler must fill every gap, with and without an affinity bias. *)
+let prop_linearize_matches_reference =
+  QCheck.Test.make ~name:"linearize fills gaps as the list-scanning reference"
+    ~count:(Soak.scaled 300)
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let line_size = 32 and n_sets = 4 + Prng.int rng 60 in
+      let n = 1 + Prng.int rng 80 in
+      let sizes =
+        Array.init n (fun _ ->
+            if Prng.bool rng then Prng.choose rng [| 4; 32; 60; 100; 256 |]
+            else 1 + Prng.int rng (3 * n_sets * line_size))
+      in
+      let program = Program.of_sizes sizes in
+      let popular = Array.init n (fun _ -> Prng.int rng 3 = 0) in
+      let placed =
+        List.filter_map
+          (fun p -> if popular.(p) then Some (p, Prng.int rng n_sets) else None)
+          (List.init n Fun.id)
+      in
+      let filler = Array.of_list (List.filter (fun p -> not popular.(p)) (List.init n Fun.id)) in
+      for i = Array.length filler - 1 downto 1 do
+        let j = Prng.int rng (i + 1) in
+        let x = filler.(i) in
+        filler.(i) <- filler.(j);
+        filler.(j) <- x
+      done;
+      let salt = Prng.int rng 1000 in
+      let affinity a b = float_of_int (((a * 7919) + (b * 104729) + salt) mod 13) in
+      List.for_all
+        (fun affinity ->
+          let got = Linearize.layout ?affinity program ~line_size ~n_sets ~placed ~filler
+          and want =
+            Linearize_ref.layout ?affinity program ~line_size ~n_sets ~placed ~filler
+          in
+          Layout.digest got = Layout.digest want
+          || QCheck.Test.fail_reportf "%d procedures, %d sets: digest %08x, reference %08x"
+               n n_sets (Layout.digest got) (Layout.digest want))
+        [ None; Some affinity ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
@@ -1226,6 +1268,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cost_models_match_reference;
     QCheck_alcotest.to_alcotest prop_metrics_match_reference;
     QCheck_alcotest.to_alcotest prop_anneal_cost_matches_reference;
+    QCheck_alcotest.to_alcotest prop_linearize_matches_reference;
     Alcotest.test_case "incr engine 10x work reduction on small" `Quick
       test_incr_work_reduction;
   ]
