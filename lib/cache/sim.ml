@@ -38,9 +38,15 @@ let log2_exact n =
 
 (* Direct-mapped: one tag per line, tag = memory line address.  Addresses
    are non-negative, so when the line size and the line count are both
-   powers of two the line address is a shift and the index a mask, and
-   an event's accesses are counted at once.  Other geometries (a 3-line
-   toy cache, a 6 KB cache) keep the dividing loop. *)
+   powers of two the line address is a shift and the index a mask.  Most
+   events touch one or two lines, so the loop probes the first line, then
+   the second when there is one, and runs the [for] loop only from the
+   third; an event adds to [accesses] only the lines past its first.
+   Every tag index is masked below [n_lines] and every event index is
+   below [Trace.length], so [tags] and the trace are read unchecked; the
+   procedure's address is still a checked read, which raises on an event
+   of a procedure the program lacks.  Other geometries (a 3-line toy
+   cache, a 6 KB cache) keep the dividing loop. *)
 let simulate_direct addr (config : Config.t) trace =
   let n_lines = Config.n_lines config in
   let line_size = config.line_size in
@@ -51,20 +57,39 @@ let simulate_direct addr (config : Config.t) trace =
   | Some shift, Some _ ->
     let mask = n_lines - 1 in
     for i = 0 to n - 1 do
-      let w = Trace.packed trace i in
+      let w = Trace.unsafe_packed trace i in
       let base = addr.(Event.packed_proc w) + Event.packed_offset w in
       let first = base lsr shift
       and last = (base + Event.packed_len w - 1) lsr shift in
-      accesses := !accesses + (last - first + 1);
-      for la = first to last do
-        let idx = la land mask in
-        if tags.(idx) <> la then begin
+      let idx = first land mask in
+      let t = Array.unsafe_get tags idx in
+      if t <> first then begin
+        incr misses;
+        if t >= 0 then incr evictions;
+        Array.unsafe_set tags idx first
+      end;
+      if last > first then begin
+        accesses := !accesses + (last - first);
+        let second = first + 1 in
+        let idx = second land mask in
+        let t = Array.unsafe_get tags idx in
+        if t <> second then begin
           incr misses;
-          if tags.(idx) >= 0 then incr evictions;
-          tags.(idx) <- la
-        end
-      done
-    done
+          if t >= 0 then incr evictions;
+          Array.unsafe_set tags idx second
+        end;
+        for la = first + 2 to last do
+          let idx = la land mask in
+          let t = Array.unsafe_get tags idx in
+          if t <> la then begin
+            incr misses;
+            if t >= 0 then incr evictions;
+            Array.unsafe_set tags idx la
+          end
+        done
+      end
+    done;
+    accesses := !accesses + n
   | _ ->
     for i = 0 to n - 1 do
       let w = Trace.packed trace i in
@@ -120,6 +145,15 @@ let simulate_flat = simulate
 
 type page_result = { page_accesses : int; page_faults : int; pages_touched : int }
 
+(* Sets bit [i] of [bits]; whether it was clear. *)
+let mark bits i =
+  let byte = Char.code (Bytes.get bits (i lsr 3)) and bit = 1 lsl (i land 7) in
+  byte land bit = 0
+  && begin
+    Bytes.set bits (i lsr 3) (Char.unsafe_chr (byte lor bit));
+    true
+  end
+
 (* Exact LRU over pages: the resident set is a {!Policy.Full_lru} of
    [frames] pages. *)
 let paging program layout ~page_size ~frames trace =
@@ -130,7 +164,9 @@ let paging program layout ~page_size ~frames trace =
   let n_pages = (Layout.span layout / page_size) + 2 in
   let resident = Policy.Full_lru.create ~capacity:frames ~n_ids:n_pages in
   let accesses = ref 0 and faults = ref 0 in
-  let touched = Hashtbl.create 256 in
+  (* One bit per page; [Full_lru.access] raises first on a page past
+     [n_pages], as an event running past the layout's end can reach. *)
+  let touched = Bytes.make ((n_pages + 7) / 8) '\000' and pages_touched = ref 0 in
   for i = 0 to Trace.length trace - 1 do
     let w = Trace.packed trace i in
     let base = addr.(Event.packed_proc w) + Event.packed_offset w in
@@ -138,29 +174,36 @@ let paging program layout ~page_size ~frames trace =
     and last = (base + Event.packed_len w - 1) / page_size in
     for p = first to last do
       incr accesses;
-      if not (Hashtbl.mem touched p) then Hashtbl.add touched p ();
-      if not (Policy.Full_lru.access resident p) then incr faults
+      if not (Policy.Full_lru.access resident p) then incr faults;
+      if mark touched p then incr pages_touched
     done
   done;
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/accesses") !accesses;
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/faults") !faults;
-  {
-    page_accesses = !accesses;
-    page_faults = !faults;
-    pages_touched = Hashtbl.length touched;
-  }
+  { page_accesses = !accesses; page_faults = !faults; pages_touched = !pages_touched }
 
+(* The line range comes from a first pass over the packed words, since
+   an event may run past its procedure and the layout's span. *)
 let distinct_lines program layout (config : Config.t) trace =
   let n = Program.n_procs program in
   let addr = Array.init n (Layout.address layout) in
   let line_size = config.line_size in
-  let seen = Hashtbl.create 4096 in
-  Trace.iter
-    (fun (e : Event.t) ->
-      let base = addr.(e.proc) + e.offset in
-      let first = base / line_size and last = (base + e.len - 1) / line_size in
-      for la = first to last do
-        if not (Hashtbl.mem seen la) then Hashtbl.add seen la ()
-      done)
-    trace;
-  Hashtbl.length seen
+  let n_events = Trace.length trace in
+  let lo = ref max_int and hi = ref (-1) in
+  for i = 0 to n_events - 1 do
+    let w = Trace.packed trace i in
+    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+    let first = base / line_size and last = (base + Event.packed_len w - 1) / line_size in
+    if first < !lo then lo := first;
+    if last > !hi then hi := last
+  done;
+  let seen = Bytes.make (if !hi < !lo then 0 else ((!hi - !lo) / 8) + 1) '\000' in
+  let distinct = ref 0 in
+  for i = 0 to n_events - 1 do
+    let w = Trace.packed trace i in
+    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
+    for la = base / line_size to (base + Event.packed_len w - 1) / line_size do
+      if mark seen (la - !lo) then incr distinct
+    done
+  done;
+  !distinct

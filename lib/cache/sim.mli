@@ -30,13 +30,17 @@ val simulate :
   Trg_trace.Trace.t ->
   result
 (** Simulates with a cold cache.  Direct-mapped configurations use a fast
-    tag-array path (every policy coincides at one way); associative
+    tag-array path (every policy coincides at one way): with a
+    power-of-two line size and line count it probes each event's first
+    line, then its second when the event has one, before a loop over the
+    rest, reading the tags unchecked under the index mask.  Associative
     configurations run [policy] (default true LRU) on the
     {!Policy.Probe} engine — proven bit-identical to the naive reference
     models by the policy differential wall.  Both loops read packed
     words ({!Trg_trace.Trace.packed}) and allocate nothing per event.
     @raise Invalid_argument for policy/associativity combinations the
-    policy cannot express (Tree-PLRU needs power-of-two ways). *)
+    policy cannot express (Tree-PLRU needs power-of-two ways), and for
+    an event of a procedure the program lacks. *)
 
 val simulate_flat :
   ?policy:Policy.kind ->
@@ -55,7 +59,8 @@ val distinct_lines :
   Trg_trace.Trace.t ->
   int
 (** Number of distinct memory line addresses touched by the trace — the
-    compulsory-miss floor for any cache with this line size. *)
+    compulsory-miss floor for any cache with this line size.  Counted in
+    a bitmap over the trace's line range. *)
 
 type page_result = {
   page_accesses : int;  (** page references (one per event page touched) *)
@@ -72,4 +77,7 @@ val paging :
   page_result
 (** Code-paging behaviour of a layout: every event charges the pages its
     byte range spans against an LRU-managed resident set of [frames]
-    physical pages.  Used by the Section 4.3 page-locality experiment. *)
+    physical pages.  Used by the Section 4.3 page-locality experiment.
+    The resident set and the touched pages cover [span / page_size + 2]
+    pages.
+    @raise Invalid_argument for an event reaching a page past them. *)

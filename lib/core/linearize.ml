@@ -9,15 +9,21 @@ let round_up x align = (x + align - 1) / align * align
 type fillers = { ids : int array; sizes : int array; next : int array }
 
 let fillers program filler =
-  let ids = Array.copy filler in
-  Array.stable_sort
-    (fun a b ->
-      match compare (Program.size program b) (Program.size program a) with
-      | 0 -> compare a b
-      | c -> c)
+  let max_size =
+    Array.fold_left (fun m p -> if Program.size program p > m then Program.size program p else m) 0 filler
+  in
+  let n_procs = Program.n_procs program in
+  (* One key orders by decreasing size, then by increasing id. *)
+  let order =
+    Trg_util.Radix.order
+      (Array.map (fun p -> ((max_size - Program.size program p) * n_procs) + p) filler)
+  in
+  let ids = Array.map (fun i -> filler.(i)) order in
+  {
     ids;
-  let n = Array.length ids in
-  { ids; sizes = Array.map (Program.size program) ids; next = Array.init (n + 1) Fun.id }
+    sizes = Array.map (Program.size program) ids;
+    next = Array.init (Array.length filler + 1) Fun.id;
+  }
 
 (* The first unused entry from [i] on, compressing the path to it. *)
 let next_unused f i =
@@ -73,8 +79,23 @@ let layout ?affinity program ~line_size ~n_sets ~placed ~filler =
         invalid_arg (Printf.sprintf "Linearize: offset %d out of range" off))
     placed;
   let fillers = fillers program filler in
-  let unplaced = Hashtbl.create 64 in
-  List.iter (fun (p, off) -> Hashtbl.replace unplaced p off) placed;
+  (* The unplaced popular procedures and their target sets, in the first
+     [!live] entries of [pops] and [offs]; a procedure listed twice keeps
+     its last target. *)
+  let slot = Array.make n (-1) in
+  let pops = Array.make (List.length placed) 0 in
+  let offs = Array.make (List.length placed) 0 in
+  let live = ref 0 in
+  List.iter
+    (fun (p, off) ->
+      match slot.(p) with
+      | -1 ->
+        slot.(p) <- !live;
+        pops.(!live) <- p;
+        offs.(!live) <- off;
+        incr live
+      | i -> offs.(i) <- off)
+    placed;
   let cursor = ref 0 in
   let last_placed = ref (-1) in
   (* Pick the popular procedure minimizing the gap in cache lines from the
@@ -85,34 +106,53 @@ let layout ?affinity program ~line_size ~n_sets ~placed ~filler =
      temporally-related procedures adjacent; the cache-set alignment of
      every procedure is honoured either way. *)
   let affinity_window = 3 in
-  let pick_next cur_line_set =
-    let gap_of off = (off - cur_line_set + n_sets) mod n_sets in
-    let min_gap =
-      Hashtbl.fold (fun _ off acc -> min acc (gap_of off)) unplaced max_int
-    in
-    let score p =
-      match affinity with
-      | Some f when !last_placed >= 0 -> -.f !last_placed p
-      | Some _ | None -> 0.
-    in
-    let window = match affinity with Some _ -> affinity_window | None -> 0 in
-    Hashtbl.fold
-      (fun p off best ->
-        let gap = gap_of off in
-        if gap > min_gap + window then best
-        else
-          let key = (score p, gap, p) in
-          match best with
-          | Some (bkey, _, _) when bkey <= key -> best
-          | _ -> Some (key, gap, p))
-      unplaced None
+  let window = match affinity with Some _ -> affinity_window | None -> 0 in
+  let score p =
+    match affinity with
+    | Some f when !last_placed >= 0 -> -.f !last_placed p
+    | Some _ | None -> 0.
+  in
+  let gap_of cur_set off = (off - cur_set + n_sets) mod n_sets in
+  (* The entry of [pops] with the least key (score, gap, id), compared as
+     the tuples would be.  Ids are unique, so no two keys tie and the scan
+     order cannot matter. *)
+  let pick_next cur_set =
+    let min_gap = ref max_int in
+    for i = 0 to !live - 1 do
+      let gap = gap_of cur_set offs.(i) in
+      if gap < !min_gap then min_gap := gap
+    done;
+    let best = ref (-1) and best_score = ref 0. and best_gap = ref 0 in
+    for i = 0 to !live - 1 do
+      let gap = gap_of cur_set offs.(i) in
+      if gap <= !min_gap + window then begin
+        let s = score pops.(i) in
+        let better =
+          !best < 0
+          || not
+               (!best_score < s
+               || (!best_score = s
+                  && (!best_gap < gap || (!best_gap = gap && pops.(!best) <= pops.(i)))))
+        in
+        if better then begin
+          best := i;
+          best_score := s;
+          best_gap := gap
+        end
+      end
+    done;
+    !best
   in
   let rec place_populars () =
     let cur_line = (!cursor + line_size - 1) / line_size in
     match pick_next (cur_line mod n_sets) with
-    | None -> ()
-    | Some (_key, gap, p) ->
-      Hashtbl.remove unplaced p;
+    | -1 -> ()
+    | i ->
+      let p = pops.(i) in
+      let gap = gap_of (cur_line mod n_sets) offs.(i) in
+      decr live;
+      pops.(i) <- pops.(!live);
+      offs.(i) <- offs.(!live);
       let target = (cur_line + gap) * line_size in
       fill_gap program addr fillers ~cursor:!cursor ~limit:target;
       addr.(p) <- target;

@@ -6,8 +6,8 @@ let validate program addr =
   let n = Array.length addr in
   if n <> Program.n_procs program then
     invalid_arg "Layout.of_addresses: address count does not match program";
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare addr.(a) addr.(b)) order;
+  (* By address, ties (which always overlap) by the lower id. *)
+  let order = Trg_util.Radix.order addr in
   Array.iteri
     (fun i p ->
       if addr.(p) < 0 then
@@ -40,10 +40,7 @@ let n_procs t = Array.length t.addr
 
 let span t = t.span
 
-let order t =
-  let ids = Array.init (Array.length t.addr) (fun i -> i) in
-  Array.sort (fun a b -> compare t.addr.(a) t.addr.(b)) ids;
-  ids
+let order t = Trg_util.Radix.order t.addr
 
 let gap_bytes t program =
   let used = Program.total_size program in

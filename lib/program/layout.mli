@@ -10,7 +10,9 @@ type t
 val of_addresses : Program.t -> int array -> t
 (** [of_addresses program addr] with [addr.(p)] the byte address of
     procedure [p].  Validates that no two procedures overlap and that all
-    addresses are non-negative; raises [Invalid_argument] otherwise. *)
+    addresses are non-negative; raises [Invalid_argument] otherwise,
+    naming the first offence in address order (of two procedures at one
+    address, the lower id first). *)
 
 val address : t -> int -> int
 (** Starting address of a procedure. *)

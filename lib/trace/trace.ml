@@ -13,6 +13,8 @@ let length (t : t) = Array1.dim t
 
 let packed (t : t) i = Array1.get t i
 
+let unsafe_packed (t : t) i = Array1.unsafe_get t i
+
 let get t i = Event.unpack (packed t i)
 
 let iter f (t : t) =

@@ -20,6 +20,10 @@ val packed : t -> int -> int
     pair it with [Event.packed_proc]/[packed_offset]/[packed_len] in
     allocation-free loops. *)
 
+val unsafe_packed : t -> int -> int
+(** {!packed} without the bound check, for a loop whose index runs over
+    [0 .. length t - 1] and nowhere else. *)
+
 val iter : (Event.t -> unit) -> t -> unit
 
 val iteri : (int -> Event.t -> unit) -> t -> unit

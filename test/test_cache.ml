@@ -102,6 +102,49 @@ let test_distinct_lines () =
   let n = Sim.distinct_lines tiny layout tiny_cache (ref_trace [ 0; 1; 0; 1 ]) in
   Alcotest.(check int) "2 distinct" 2 n
 
+(* Lines past the layout's span count like any other, from the packed
+   words; no event, no line. *)
+let test_distinct_lines_past_span () =
+  let p = Program.of_sizes [| 32; 32 |] in
+  let layout = Layout.of_addresses p [| 64; 0 |] in
+  let t = Trace.of_list [ ev Event.Enter 0 0 200; ev Event.Enter 1 0 8; ev Event.Enter 0 40 8 ] in
+  Alcotest.(check int) "lines 2-8 and 0" 8 (Sim.distinct_lines p layout tiny_cache t);
+  Alcotest.(check int) "empty trace" 0 (Sim.distinct_lines p layout tiny_cache (Trace.of_list []))
+
+(* At the paper's point the tag array is read unchecked, but the
+   procedure's address is not: an event of a procedure the program
+   lacks raises. *)
+let test_unknown_proc_raises () =
+  let p = Program.of_sizes [| 64; 64 |] in
+  let t = Trace.of_list [ ev Event.Enter 0 0 8; ev Event.Enter 2 0 8 ] in
+  match Sim.simulate p (Layout.default p) Config.default t with
+  | _ -> Alcotest.fail "an event of procedure 2 of 2 was simulated"
+  | exception Invalid_argument _ -> ()
+
+(* At the paper's point a simulation allocates per run, not per event:
+   the same words over 100k events as over 200k, with events of one to
+   four lines. *)
+let test_paper_point_allocation () =
+  let n_procs = 64 in
+  let program = Program.of_sizes (Array.make n_procs 256) in
+  let layout = Layout.default program in
+  let trace n =
+    let b = Trace.Builder.create ~capacity:n () in
+    for i = 0 to n - 1 do
+      Trace.Builder.add b
+        (ev Event.Run (i * 7919 mod n_procs) (16 * (i mod 9)) (1 + (i * 31 mod 100)))
+    done;
+    Trace.Builder.build b
+  in
+  let words t =
+    let a0 = Trg_eval.Perfrun.allocated_words () in
+    ignore (Sys.opaque_identity (Sim.simulate program layout Config.default t));
+    Trg_eval.Perfrun.allocated_words () -. a0
+  in
+  let small = trace 100_000 and large = trace 200_000 in
+  ignore (words small);
+  Alcotest.(check (float 0.)) "words at 200k = words at 100k" (words small) (words large)
+
 (* Property: a cache big enough to hold everything has exactly
    distinct_lines misses, and misses never exceed accesses. *)
 let prop_compulsory_floor =
@@ -147,6 +190,9 @@ let suite =
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "miss rate" `Quick test_miss_rate;
     Alcotest.test_case "distinct lines" `Quick test_distinct_lines;
+    Alcotest.test_case "distinct lines past the span" `Quick test_distinct_lines_past_span;
+    Alcotest.test_case "unknown procedure raises" `Quick test_unknown_proc_raises;
+    Alcotest.test_case "paper point allocates per run" `Quick test_paper_point_allocation;
     QCheck_alcotest.to_alcotest prop_compulsory_floor;
     QCheck_alcotest.to_alcotest prop_miss_bounds;
   ]

@@ -616,9 +616,14 @@ let prop_lru_matches_reference =
    sets, line sizes with and without a power of two, unaligned addresses
    and events of 1 to 200 bytes, so both of [Sim]'s direct-mapped loops
    and its {!Policy.Probe} loop run.  Half the cases are direct-mapped;
-   the rest draw 2, 3, 4 or 8 ways.  Events may run past the end of
-   their procedure, which [Sim] accepts; attribution rejects them, so
-   its real cache is checked on a copy clipped to each procedure. *)
+   the rest draw 2, 3, 4 or 8 ways.  Half the direct-mapped cases draw a
+   power-of-two line size and set count, so they reach the shift/mask
+   loop and its unrolled first and second probes.  Events stay on one
+   line, cross one line boundary, cross two, span many lines, or start on
+   a line of the last set so that their second line wraps to set 0.
+   Events may run past the end of their procedure, which [Sim] accepts;
+   attribution rejects them, so its real cache is checked on a copy
+   clipped to each procedure. *)
 let prop_direct_matches_reference =
   QCheck.Test.make ~name:"direct-mapped Sim matches reference over random geometry"
     ~count:(Soak.scaled 500)
@@ -628,29 +633,57 @@ let prop_direct_matches_reference =
           Printf.sprintf "%s, %d-way, line %d, %d sets, seed %d, %d events"
             (Trg_cache.Policy.to_string policy) assoc line_size n_sets seed n)
         Gen.(
-          pair
-            (oneofl Trg_cache.Policy.all >>= fun policy ->
-             map
-               (fun assoc -> (policy, assoc))
-               (frequency
-                  [
-                    (1, return 1);
-                    ( 1,
-                      oneofl
-                        (if policy = Trg_cache.Policy.Plru then [ 2; 4; 8 ]
-                         else [ 2; 3; 4; 8 ]) );
-                  ]))
-            (quad (oneofl [ 8; 16; 24; 32; 64 ]) (int_range 1 40) int (int_range 1 300))))
+          oneofl Trg_cache.Policy.all >>= fun policy ->
+          frequency
+            [
+              (1, return 1);
+              ( 1,
+                oneofl
+                  (if policy = Trg_cache.Policy.Plru then [ 2; 4; 8 ] else [ 2; 3; 4; 8 ])
+              );
+            ]
+          >>= fun assoc ->
+          (if assoc = 1 then bool else return false) >>= fun pow2 ->
+          (if pow2 then pair (oneofl [ 8; 16; 32; 64 ]) (oneofl [ 1; 2; 4; 8; 16; 32; 64 ])
+           else pair (oneofl [ 8; 16; 24; 32; 64 ]) (int_range 1 40))
+          >>= fun (line_size, n_sets) ->
+          map
+            (fun (seed, n) -> ((policy, assoc), (line_size, n_sets, seed, n)))
+            (pair int (int_range 1 300))))
     (fun ((policy, assoc), (line_size, n_sets, seed, n)) ->
       let rng = Prng.create seed in
       let program = Program.of_sizes (Array.init 12 (fun _ -> 1 + Prng.int rng 400)) in
       let layout = Layout.random rng program in
+      (* An offset into [proc] whose line falls in the last set, if any. *)
+      let last_set_offset proc =
+        let a = Layout.address layout proc and size = Program.size program proc in
+        let rec scan la =
+          if la * line_size >= a + size then None
+          else if la mod n_sets = n_sets - 1 then Some (max 0 ((la * line_size) - a))
+          else scan (la + 1)
+        in
+        scan (a / line_size)
+      in
       let events =
         List.init n (fun _ ->
             let proc = Prng.int rng 12 in
-            Event.make ~kind:Event.Enter ~proc
-              ~offset:(Prng.int rng (Program.size program proc))
-              ~len:(1 + Prng.int rng 200))
+            let shape = Prng.int rng 6 in
+            let offset =
+              match (shape, last_set_offset proc) with
+              | 4, Some off -> off
+              | _ -> Prng.int rng (Program.size program proc)
+            in
+            (* Bytes from the event's start to the end of its first line. *)
+            let room = line_size - ((Layout.address layout proc + offset) mod line_size) in
+            let len =
+              match shape with
+              | 0 -> 1 + Prng.int rng room
+              | 1 | 4 -> room + 1 + Prng.int rng line_size
+              | 2 -> room + line_size + 1 + Prng.int rng line_size
+              | 3 -> room + ((2 + Prng.int rng (2 * n_sets)) * line_size) + Prng.int rng line_size
+              | _ -> 1 + Prng.int rng 200
+            in
+            Event.make ~kind:Event.Enter ~proc ~offset ~len)
       in
       let clipped =
         List.map
@@ -725,33 +758,48 @@ let prop_reuse_matches_reference =
 
 (* --- Paging LRU vs reference ------------------------------------------------ *)
 
+(* Events start anywhere in a page-sized procedure and are up to two
+   pages long, so they touch one to three pages and never reach past the
+   resident set's [span / page + 2] pages.  Faults, page accesses and
+   the distinct pages touched all match. *)
 let prop_paging_matches_reference =
   QCheck.Test.make ~name:"page-fault LRU matches list reference" ~count:100
     QCheck.(
-      pair (int_range 1 4) (list_of_size (Gen.int_range 1 120) (int_range 0 7)))
+      pair (int_range 1 4)
+        (list_of_size (Gen.int_range 1 120)
+           (triple (int_range 0 7) (int_range 0 4095) (int_range 1 8193))))
     (fun (frames, refs) ->
       let program = Program.of_sizes (Array.make 8 4096) in
       let layout = Layout.default program in
-      let trace = Trace.of_list (List.map ev refs) in
+      let trace =
+        Trace.of_list
+          (List.map (fun (proc, offset, len) -> Event.make ~kind:Event.Enter ~proc ~offset ~len) refs)
+      in
       let r = Sim.paging program layout ~page_size:4096 ~frames trace in
-      let resident = ref [] in
-      let faults = ref 0 in
+      let resident = ref [] and touched = ref [] in
+      let faults = ref 0 and accesses = ref 0 in
       List.iter
-        (fun p ->
-          let page = Layout.address layout p / 4096 in
-          if List.mem page !resident then
-            resident := page :: List.filter (fun x -> x <> page) !resident
-          else begin
-            incr faults;
-            let kept =
-              if List.length !resident >= frames then
-                List.filteri (fun i _ -> i < frames - 1) !resident
-              else !resident
-            in
-            resident := page :: kept
-          end)
+        (fun (p, offset, len) ->
+          let base = Layout.address layout p + offset in
+          for page = base / 4096 to (base + len - 1) / 4096 do
+            incr accesses;
+            if not (List.mem page !touched) then touched := page :: !touched;
+            if List.mem page !resident then
+              resident := page :: List.filter (fun x -> x <> page) !resident
+            else begin
+              incr faults;
+              let kept =
+                if List.length !resident >= frames then
+                  List.filteri (fun i _ -> i < frames - 1) !resident
+                else !resident
+              in
+              resident := page :: kept
+            end
+          done)
         refs;
-      r.Sim.page_faults = !faults)
+      r.Sim.page_faults = !faults
+      && r.Sim.page_accesses = !accesses
+      && r.Sim.pages_touched = List.length !touched)
 
 (* --- miss attribution vs the scoreboard simulator ------------------------- *)
 
@@ -1249,6 +1297,72 @@ let prop_linearize_matches_reference =
                n n_sets (Layout.digest got) (Layout.digest want))
         [ None; Some affinity ])
 
+(* --- layout validation and the radix sort ------------------------------- *)
+
+(* Keys from a narrow range (many ties), a wide one, and the ends of the
+   [int] range, where [max - min] overflows. *)
+let prop_radix_matches_stable_sort =
+  QCheck.Test.make ~name:"radix order matches a stable sort" ~count:(Soak.scaled 300)
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int rng 300 in
+      let draw =
+        match Prng.int rng 3 with
+        | 0 -> fun () -> Prng.int rng 7 - 3
+        | 1 -> fun () -> Prng.int rng 1_000_000_000 - 500_000_000
+        | _ -> fun () -> Prng.choose rng [| min_int; max_int; -1; 0; 1; min_int + 1 |]
+      in
+      let keys = Array.init n (fun _ -> draw ()) in
+      let want = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) want;
+      Trg_util.Radix.order keys = want)
+
+(* Random programs at random addresses: a valid packing with gaps, then
+   up to two faults, each an overlap, a shared address or a negative
+   address.  Where addresses are distinct the library gives the
+   reference's span or its message; where two procedures share one, both
+   reject the layout. *)
+let prop_validate_matches_reference =
+  QCheck.Test.make ~name:"layout validation matches the sorting reference"
+    ~count:(Soak.scaled 300)
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 1 + Prng.int rng 40 in
+      let program = Program.of_sizes (Array.init n (fun _ -> 1 + Prng.int rng 200)) in
+      let order = Array.init n Fun.id in
+      Prng.shuffle rng order;
+      let addr = Array.make n 0 and cursor = ref 0 in
+      Array.iter
+        (fun p ->
+          cursor := !cursor + Prng.int rng 64;
+          addr.(p) <- !cursor;
+          cursor := !cursor + Program.size program p)
+        order;
+      for _ = 1 to Prng.int rng 3 do
+        let p = Prng.int rng n and q = Prng.int rng n in
+        match Prng.int rng 3 with
+        | 0 -> addr.(p) <- addr.(q) + Prng.int rng (Program.size program q)
+        | 1 -> addr.(p) <- addr.(q)
+        | _ -> addr.(p) <- -1 - Prng.int rng 1000
+      done;
+      let outcome f = match f () with span -> Ok span | exception Invalid_argument m -> Error m in
+      let got = outcome (fun () -> Layout.span (Layout.of_addresses program addr))
+      and want = outcome (fun () -> Layout_ref.validate program addr) in
+      let sorted = Array.copy addr in
+      Array.sort compare sorted;
+      let distinct = ref true in
+      for i = 1 to n - 1 do
+        if sorted.(i) = sorted.(i - 1) then distinct := false
+      done;
+      let show = function Ok span -> Printf.sprintf "span %d" span | Error m -> m in
+      (match (!distinct, got, want) with
+      | true, _, _ -> got = want
+      | false, Error _, Error _ -> true
+      | false, _, _ -> false)
+      || QCheck.Test.fail_reportf "%d procedures: %s, reference %s" n (show got) (show want))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
@@ -1269,6 +1383,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_metrics_match_reference;
     QCheck_alcotest.to_alcotest prop_anneal_cost_matches_reference;
     QCheck_alcotest.to_alcotest prop_linearize_matches_reference;
+    QCheck_alcotest.to_alcotest prop_radix_matches_stable_sort;
+    QCheck_alcotest.to_alcotest prop_validate_matches_reference;
     Alcotest.test_case "incr engine 10x work reduction on small" `Quick
       test_incr_work_reduction;
   ]

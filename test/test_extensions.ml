@@ -204,6 +204,16 @@ let test_paging_spanning_event () =
   let r = Sim.paging program layout ~page_size:4096 ~frames:4 trace in
   Alcotest.(check int) "two pages touched" 2 r.Sim.pages_touched
 
+(* The resident set has [span / page_size + 2] pages; an event running
+   further past the layout's end raises from it. *)
+let test_paging_past_the_end () =
+  let program = Program.of_sizes [| 4096 |] in
+  let layout = Layout.default program in
+  let trace = Trace.of_list [ ev 0 4000 (3 * 4096) ] in
+  match Sim.paging program layout ~page_size:4096 ~frames:4 trace with
+  | _ -> Alcotest.fail "a page past the resident set was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- Plot ------------------------------------------------------------------- *)
 
 let test_plot_cdf_renders () =
@@ -353,6 +363,7 @@ let suite =
     Alcotest.test_case "paging basic" `Quick test_paging_basic;
     Alcotest.test_case "paging LRU eviction" `Quick test_paging_lru_eviction;
     Alcotest.test_case "paging spanning event" `Quick test_paging_spanning_event;
+    Alcotest.test_case "paging past the end raises" `Quick test_paging_past_the_end;
     Alcotest.test_case "plot cdf renders" `Quick test_plot_cdf_renders;
     Alcotest.test_case "plot cdf left dominance" `Quick test_plot_cdf_left_dominance;
     Alcotest.test_case "plot scatter renders" `Quick test_plot_scatter_renders;

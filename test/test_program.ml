@@ -87,6 +87,15 @@ let test_layout_overlap_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Two procedures at one address overlap; the message names the lower id
+   first, the order ties take in the address sort. *)
+let test_layout_shared_address_message () =
+  let p = mk [ 10; 20; 30 ] in
+  match Layout.of_addresses p [| 100; 0; 100 |] with
+  | _ -> Alcotest.fail "a shared address was accepted"
+  | exception Invalid_argument m ->
+    Alcotest.(check string) "message" "Layout: procs 0 and 2 overlap (100 < 110)" m
+
 let test_layout_contiguous_order () =
   let p = mk [ 32; 64; 96 ] in
   let l = Layout.contiguous p [| 2; 0; 1 |] in
@@ -157,6 +166,8 @@ let suite =
     Alcotest.test_case "chunk iter_range" `Quick test_chunk_iter_range;
     Alcotest.test_case "layout default" `Quick test_layout_default;
     Alcotest.test_case "layout overlap rejected" `Quick test_layout_overlap_rejected;
+    Alcotest.test_case "layout shared address message" `Quick
+      test_layout_shared_address_message;
     Alcotest.test_case "layout contiguous order" `Quick test_layout_contiguous_order;
     Alcotest.test_case "layout padded" `Quick test_layout_padded;
     Alcotest.test_case "layout bad order" `Quick test_layout_bad_order;
