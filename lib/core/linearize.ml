@@ -9,14 +9,10 @@ let round_up x align = (x + align - 1) / align * align
 type fillers = { ids : int array; sizes : int array; next : int array }
 
 let fillers program filler =
-  let max_size =
-    Array.fold_left (fun m p -> if Program.size program p > m then Program.size program p else m) 0 filler
-  in
   let n_procs = Program.n_procs program in
   (* One key orders by decreasing size, then by increasing id. *)
   let order =
-    Trg_util.Radix.order
-      (Array.map (fun p -> ((max_size - Program.size program p) * n_procs) + p) filler)
+    Trg_util.Radix.order (Array.map (fun p -> p - (Program.size program p * n_procs)) filler)
   in
   let ids = Array.map (fun i -> filler.(i)) order in
   {
