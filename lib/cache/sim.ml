@@ -185,29 +185,3 @@ let paging program layout ~page_size ~frames trace =
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/accesses") !accesses;
   Trg_obs.Metrics.add (Trg_obs.Metrics.counter "sim/page/faults") !faults;
   { page_accesses = !accesses; page_faults = !faults; pages_touched = !pages_touched }
-
-(* The line range comes from a first pass over the packed words, since
-   an event may run past its procedure and the layout's span. *)
-let distinct_lines program layout (config : Config.t) trace =
-  let n = Program.n_procs program in
-  let addr = Array.init n (Layout.address layout) in
-  let line_size = config.line_size in
-  let n_events = Trace.length trace in
-  let lo = ref max_int and hi = ref (-1) in
-  for i = 0 to n_events - 1 do
-    let w = Trace.packed trace i in
-    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
-    let first = base / line_size and last = (base + Event.packed_len w - 1) / line_size in
-    if first < !lo then lo := first;
-    if last > !hi then hi := last
-  done;
-  let seen = Bytes.make (if !hi < !lo then 0 else ((!hi - !lo) / 8) + 1) '\000' in
-  let distinct = ref 0 in
-  for i = 0 to n_events - 1 do
-    let w = Trace.packed trace i in
-    let base = addr.(Event.packed_proc w) + Event.packed_offset w in
-    for la = base / line_size to (base + Event.packed_len w - 1) / line_size do
-      if mark seen (la - !lo) then incr distinct
-    done
-  done;
-  !distinct

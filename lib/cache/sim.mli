@@ -52,16 +52,6 @@ val simulate_flat :
 (** {!simulate}.  The alias stays because the benchmark harness
     ([trgbench/]), which must not change, calls it. *)
 
-val distinct_lines :
-  Trg_program.Program.t ->
-  Trg_program.Layout.t ->
-  Config.t ->
-  Trg_trace.Trace.t ->
-  int
-(** Number of distinct memory line addresses touched by the trace — the
-    compulsory-miss floor for any cache with this line size.  Counted in
-    a bitmap over the trace's line range. *)
-
 type page_result = {
   page_accesses : int;  (** page references (one per event page touched) *)
   page_faults : int;  (** LRU faults with the given number of frames *)

@@ -34,12 +34,17 @@ module Table = struct
     { slots = Array.make (2 lsl !bits) free; bits = !bits; size = 0; shared = false }
 
   (* The index of [k]'s key, or of the free key where it would go.
-     Fibonacci hashing: the top [bits] bits of the 63-bit product. *)
+     Fibonacci hashing: the top [bits] bits of the 63-bit product.  The
+     first index is below [2 lsl bits], the slots' length, and every
+     later one is masked to it, so the slots are read unchecked. *)
   let[@inline] find_slot t k =
     let slots = t.slots in
     let mask = Array.length slots - 2 in
     let i = ref (((k * 0x9E3779B97F4A7C1) lsr (63 - t.bits)) lsl 1) in
-    while slots.(!i) <> k && slots.(!i) <> free do
+    while
+      let s = Array.unsafe_get slots !i in
+      s <> k && s <> free
+    do
       i := (!i + 2) land mask
     done;
     !i
@@ -219,8 +224,8 @@ module Counts = struct
       let k = key p q in
       let tbl = t.table in
       let i = Table.find_slot tbl k in
-      if tbl.Table.slots.(i) = k then begin
-        let e = tbl.Table.slots.(i + 1) in
+      if Array.unsafe_get tbl.Table.slots i = k then begin
+        let e = Array.unsafe_get tbl.Table.slots (i + 1) in
         t.count.(e) <- t.count.(e) + 1;
         e
       end
@@ -230,31 +235,24 @@ module Counts = struct
       end
     end
 
-  let add t p q = ignore (number t p q : int)
+  let[@inline never] add_checked t p q = ignore (number t p q : int)
 
-  (* Q's suffix walk ({!Qset.count}) counts through here, so the hit
-     path of the probe sits inside the walk's loop: the dev build
-     compiles each module on its own, and a call per increment would
-     cost as much as the increment. *)
-  let add_chain t p ~next q =
-    let q = ref q and n = ref 0 in
-    while !q >= 0 do
-      let x = !q in
-      if (p lor x) lsr 24 = 0 && p <> x then begin
-        let k = key p x in
-        let tbl = t.table in
-        let i = Table.find_slot tbl k in
-        if tbl.Table.slots.(i) = k then begin
-          let e = tbl.Table.slots.(i + 1) in
-          t.count.(e) <- t.count.(e) + 1
-        end
-        else add_new t p x k
+  (* The probe of [number] without its result, inlined where it is
+     called: Q's suffix walk ({!Qset.count}) counts every increment of a
+     TRG through here, so a repeat edge costs the probe and no call.  An
+     id out of range or a self-edge takes [number]. *)
+  let[@inline] add t p q =
+    if (p lor q) lsr 24 = 0 && p <> q then begin
+      let k = key p q in
+      let tbl = t.table in
+      let i = Table.find_slot tbl k in
+      if Array.unsafe_get tbl.Table.slots i = k then begin
+        let e = Array.unsafe_get tbl.Table.slots (i + 1) in
+        t.count.(e) <- t.count.(e) + 1
       end
-      else add t p x;
-      incr n;
-      q := next.(x)
-    done;
-    !n
+      else add_new t p q k
+    end
+    else add_checked t p q
 
   let length t = t.table.Table.size
 

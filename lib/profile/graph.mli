@@ -34,16 +34,10 @@ module Counts : sig
   (** [add t p q] adds 1 to the count of the undirected edge [{p, q}].
       Both ids must lie in [\[0, max_id)]; otherwise it raises
       [Invalid_argument "Graph: node id <id> out of range"].  Self-edges
-      are ignored. *)
-
-  val add_chain : t -> int -> next:int array -> int -> int
-  (** [add_chain t p ~next q] calls [add t p x] for each [x] of the
-      chain [q], [next.(q)], [next.(next.(q))], ... up to the first
-      negative id, in that order, and returns how many it counted.  A
-      repeat edge costs one probe inside the loop, with no call: this
-      is how Q's counting reference ({!Qset.count}) counts the ids
-      between two occurrences of [p], which it keeps linked through
-      [next]. *)
+      are ignored.  The release build inlines its probe where it is
+      called, so a repeat edge costs no call: this is how Q's counting
+      reference ({!Qset.count}) counts the ids between two occurrences
+      of a block. *)
 
   val number : t -> int -> int -> int
   (** [number t p q] is {!add} followed by {!index}, in one probe: it

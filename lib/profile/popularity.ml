@@ -4,35 +4,28 @@ module Tstats = Trg_trace.Tstats
 type t = { is_popular : bool array; ranked : int array; popular_bytes : int }
 
 let select ?(coverage = 0.99) ?(min_refs = 2) ?max_procs program (stats : Tstats.t) =
-  let n = Array.length stats.ref_counts in
-  let ids = Array.init n (fun i -> i) in
-  (* Most referenced first; ties by id for determinism. *)
-  Array.sort
-    (fun a b ->
-      match compare stats.ref_counts.(b) stats.ref_counts.(a) with
-      | 0 -> compare a b
-      | c -> c)
-    ids;
-  let total = Array.fold_left ( + ) 0 stats.ref_counts in
+  let counts = stats.ref_counts in
+  let n = Array.length counts in
+  (* Most referenced first; equal counts by increasing id, which the
+     radix order keeps. *)
+  let ids = Trg_util.Radix.order (Array.map (fun c -> -c) counts) in
+  let total = Array.fold_left ( + ) 0 counts in
   let target = coverage *. float_of_int total in
   let limit = match max_procs with Some m -> m | None -> n in
   let is_popular = Array.make n false in
-  let selected = ref [] in
-  let covered = ref 0 in
-  (try
-     Array.iter
-       (fun p ->
-         if
-           List.length !selected >= limit
-           || float_of_int !covered >= target
-           || stats.ref_counts.(p) < min_refs
-         then raise Exit;
-         is_popular.(p) <- true;
-         selected := p :: !selected;
-         covered := !covered + stats.ref_counts.(p))
-       ids
-   with Exit -> ());
-  let ranked = Array.of_list (List.rev !selected) in
+  let selected = ref 0 and covered = ref 0 in
+  while
+    !selected < n
+    && !selected < limit
+    && float_of_int !covered < target
+    && counts.(ids.(!selected)) >= min_refs
+  do
+    let p = ids.(!selected) in
+    is_popular.(p) <- true;
+    covered := !covered + counts.(p);
+    incr selected
+  done;
+  let ranked = Array.sub ids 0 !selected in
   let popular_bytes =
     Array.fold_left (fun acc p -> acc + Program.size program p) 0 ranked
   in

@@ -7,7 +7,8 @@
 
 type t = {
   is_popular : bool array;  (** indexed by procedure id *)
-  ranked : int array;  (** popular ids, most referenced first *)
+  ranked : int array;
+      (** popular ids, most referenced first; equal counts by increasing id *)
   popular_bytes : int;  (** total code size of the popular set *)
 }
 

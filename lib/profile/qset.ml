@@ -55,36 +55,58 @@ let grow t id =
   t.next <- extend t.next nil;
   t.size <- extend t.size 0
 
+(* Every index below is below the arrays' common length: a referenced
+   id once [reference] or [count] has grown the arrays past it, or an id
+   linked in Q, which was such an id when it entered.  So the arrays are
+   read and written unchecked. *)
+let[@inline] get (a : int array) i = Array.unsafe_get a i
+
+let[@inline] set (a : int array) i x = Array.unsafe_set a i x
+
 let append t id =
   let size =
-    match t.size.(id) with
+    match get t.size id with
     | 0 ->
       let size = t.size_of id in
-      t.size.(id) <- size;
+      set t.size id size;
       size
     | size -> size
   in
-  t.prev.(id) <- t.tail;
-  t.next.(id) <- nil;
-  if t.tail = nil then t.head <- id else t.next.(t.tail) <- id;
+  set t.prev id t.tail;
+  set t.next id nil;
+  if t.tail = nil then t.head <- id else set t.next t.tail id;
   t.tail <- id;
   t.bytes <- t.bytes + size;
   t.count <- t.count + 1
 
 let unlink t id =
-  let p = t.prev.(id) and n = t.next.(id) in
-  if p = nil then t.head <- n else t.next.(p) <- n;
-  if n = nil then t.tail <- p else t.prev.(n) <- p;
-  t.prev.(id) <- absent;
-  t.bytes <- t.bytes - t.size.(id);
+  let p = get t.prev id and n = get t.next id in
+  if p = nil then t.head <- n else set t.next p n;
+  if n = nil then t.tail <- p else set t.prev n p;
+  set t.prev id absent;
+  t.bytes <- t.bytes - get t.size id;
   t.count <- t.count - 1
 
+(* [unlink] then [append] of a member: it moves to the most recent end,
+   and Q's bytes and count stay as they were. *)
+let[@inline] requeue t id =
+  let tail = t.tail in
+  if id <> tail then begin
+    let p = get t.prev id and n = get t.next id in
+    if p = nil then t.head <- n else set t.next p n;
+    set t.prev n p;
+    set t.prev id tail;
+    set t.next id nil;
+    set t.next tail id;
+    t.tail <- id
+  end
+
 let evict_while_allowed t =
-  while t.count > 1 && t.bytes - t.size.(t.head) >= t.capacity_bytes do
+  while t.count > 1 && t.bytes - get t.size t.head >= t.capacity_bytes do
     unlink t t.head
   done
 
-let record_step t =
+let[@inline] record_step t =
   t.steps <- t.steps + 1;
   t.sum_len <- t.sum_len + t.count;
   if t.count > t.max_len then t.max_len <- t.count
@@ -93,16 +115,15 @@ let reference t p ~between =
   if p < 0 then invalid_arg "Qset.reference: negative id";
   if p >= Array.length t.prev then grow t p;
   let result =
-    if t.prev.(p) <> absent then begin
+    if get t.prev p <> absent then begin
       (* Report every id referenced after the previous occurrence of p;
          these become TRG edge increments e_{p,q}. *)
-      let cursor = ref t.next.(p) in
+      let cursor = ref (get t.next p) in
       while !cursor <> nil do
         between !cursor;
-        cursor := t.next.(!cursor)
+        cursor := get t.next !cursor
       done;
-      unlink t p;
-      append t p;
+      requeue t p;
       true
     end
     else begin
@@ -114,17 +135,23 @@ let reference t p ~between =
   record_step t;
   result
 
-(* [reference] with the edge counting of {!Graph.Counts.add_chain} in
-   place of [between]: the same walk over the same ids. *)
-let count t p counts =
+(* [reference] with an inlined {!Graph.Counts.add} in place of
+   [between]: the same walk over the same ids.  It is inlined too, so a
+   TRG stream's reference is one loop with no call on its hit path. *)
+let[@inline] count t p counts =
   if p < 0 then invalid_arg "Qset.count: negative id";
   if p >= Array.length t.prev then grow t p;
   let incrs =
-    if t.prev.(p) <> absent then begin
-      let incrs = Graph.Counts.add_chain counts p ~next:t.next t.next.(p) in
-      unlink t p;
-      append t p;
-      incrs
+    if get t.prev p <> absent then begin
+      let next = t.next in
+      let cursor = ref (get next p) and n = ref 0 in
+      while !cursor <> nil do
+        Graph.Counts.add counts p !cursor;
+        incr n;
+        cursor := get next !cursor
+      done;
+      requeue t p;
+      !n
     end
     else begin
       append t p;

@@ -33,7 +33,9 @@ module Stream = struct
       edge_incrs = 0;
     }
 
-  (* Q counts the edges itself ({!Qset.count}): no call per increment. *)
+  (* The consecutive-repeat filter, then Q's counting reference
+     ({!Qset.count}), which the release build inlines with the count
+     table's probe: one loop with no call on its hit path. *)
   let[@inline] reference s p =
     if p <> s.last then begin
       s.last <- p;
@@ -66,186 +68,195 @@ let select_stream ~capacity_bytes program =
 let place_stream ~capacity_bytes chunks =
   Stream.create ~hint:4096 ~capacity_bytes ~size_of:(Chunk.size_of chunks) ()
 
-(* One event loop for every TRG and every chunk profile.  Each
-   procedure's [keep] verdict, size and first chunk are looked up at its
-   first event and cached, so an event costs a range check and a shift
-   (a division when the chunk size is not a power of two).  An event
-   that fails the range check, or names a procedure the program lacks,
-   takes [Chunk.iter_range], which raises what it always has.  An
-   event goes to the place side first, so that when it fails, whichever
-   side failed, [run] can restart the select side at that event. *)
+(* The trace walks.  Each walk shape has one loop, with its streams,
+   the per-procedure arrays and the chunk geometry bound before it
+   starts: both streams ({!build}, {!Both}), the select stream alone
+   ({!build_select}, and the rest of the trace after a place failure),
+   and a chunk callback ({!iter_chunks}).  Each procedure's [keep]
+   verdict, size and first chunk are looked up at its first event and
+   cached, so an event costs a range check and a shift (a division when
+   the chunk size is not a power of two).  An event that fails the range
+   check, or names a procedure the program lacks, takes [Chunk.iter_range],
+   which raises what it always has.  An event goes to the place side
+   first, so that when it fails, whichever side failed, the select side
+   can restart at that event. *)
 module Walk = struct
-  (* Where the chunk ids go: a place stream, or a callback for the chunk
-     profiles that are not TRGs. *)
-  type sink = To_stream of Stream.t | To_each of (int -> unit)
-
-  type place = {
-    chunks : Chunk.t;
-    sink : sink;
-    first : int array; (* a resolved procedure's first chunk *)
-    size : int;
-    shift : int; (* log2 size, or -1 when size is not a power of two *)
-  }
-
   type t = {
     keep : int -> bool;
     limit : int array;
         (* [unseen], [skipped], or a kept procedure's size (0 when there
-           is no place side) *)
-    place : place option;
-    select : Stream.t option;
+           are no chunks) *)
+    chunks : Chunk.t option; (* the place side's chunks, if it has one *)
+    first : int array; (* a resolved procedure's first chunk *)
+    size : int; (* the chunk size *)
+    shift : int; (* log2 size, or -1 when size is not a power of two *)
   }
 
   let unseen = -2
 
   let skipped = -1
 
-  let create ?(keep = fun _ -> true) ~n_procs ?select ?place () =
-    let place =
-      Option.map
-        (fun (chunks, sink) ->
-          let size = Chunk.chunk_size chunks in
-          let rec log2 k = if k = 1 then 0 else 1 + log2 (k lsr 1) in
-          {
-            chunks;
-            sink;
-            first = Array.make (Chunk.n_procs chunks) 0;
-            size;
-            shift = (if size land (size - 1) = 0 then log2 size else -1);
-          })
-        place
-    in
-    { keep; limit = Array.make n_procs unseen; place; select }
+  let create ?(keep = fun _ -> true) ~n_procs chunks =
+    let size = match chunks with Some c -> Chunk.chunk_size c | None -> 1 in
+    let rec log2 k = if k = 1 then 0 else 1 + log2 (k lsr 1) in
+    {
+      keep;
+      limit = Array.make n_procs unseen;
+      chunks;
+      first = Array.make (if chunks = None then 0 else n_procs) 0;
+      size;
+      shift = (if size land (size - 1) = 0 then log2 size else -1);
+    }
 
   let resolve w p =
     let l =
       if not (w.keep p) then skipped
       else
-        match w.place with
-        | Some pl ->
-          pl.first.(p) <- Chunk.first pl.chunks p;
-          Chunk.proc_size pl.chunks p
+        match w.chunks with
+        | Some chunks ->
+          w.first.(p) <- Chunk.first chunks p;
+          Chunk.proc_size chunks p
         | None -> 0
     in
     w.limit.(p) <- l;
     l
 
-  let[@inline] emit pl c =
-    match pl.sink with To_stream s -> Stream.reference s c | To_each f -> f c
+  (* A procedure's cached limit; [p] must be below [Array.length limit]. *)
+  let[@inline] cached w limit p =
+    let l = Array.unsafe_get limit p in
+    if l = unseen then resolve w p else l
 
-  (* Out of range, or a procedure the program lacks: [iter_range]
-     raises. *)
-  let fallback pl ~proc ~offset ~len =
-    Chunk.iter_range pl.chunks ~proc ~offset ~len (fun c -> emit pl c)
+  let[@inline] chunk ~size ~shift offset =
+    if shift >= 0 then offset lsr shift else offset / size
 
-  let[@inline] place_event pl p word l =
-    let offset = Event.packed_offset word and len = Event.packed_len word in
-    if len > 0 && offset + len <= l then begin
-      let last = offset + len - 1 in
-      let lo = if pl.shift >= 0 then offset lsr pl.shift else offset / pl.size in
-      let hi = if pl.shift >= 0 then last lsr pl.shift else last / pl.size in
-      let base = pl.first.(p) in
-      for c = base + lo to base + hi do
-        emit pl c
-      done
-    end
-    else fallback pl ~proc:p ~offset ~len
+  (* The failure path of every chunked loop: an event out of its
+     procedure's range, or of a procedure the program lacks, where
+     [iter_range] raises. *)
+  let fallback w p word emit =
+    match w.chunks with
+    | Some chunks ->
+      Chunk.iter_range chunks ~proc:p ~offset:(Event.packed_offset word)
+        ~len:(Event.packed_len word) emit
+    | None -> ()
 
-  let unknown w ~placing p word =
-    if w.keep p then begin
-      (match w.place with
-      | Some pl when placing ->
-        fallback pl ~proc:p ~offset:(Event.packed_offset word)
-          ~len:(Event.packed_len word)
-      | Some _ | None -> ());
-      match w.select with Some s -> Stream.reference s p | None -> ()
-    end
+  (* [fallback] into a place stream.  A function of its own: a closure
+     built in [both_event] would keep it from being inlined. *)
+  let fallback_place w p word place = fallback w p word (fun c -> Stream.reference place c)
 
-  (* [placing] is false only while the select side finishes alone. *)
-  let[@inline] step w ~placing word =
+  (* Both streams, one event: its chunks to [place], then its procedure
+     to [select].  [limit], [first], [size] and [shift] are [w]'s. *)
+  let[@inline] both_event w ~limit ~first ~size ~shift ~select ~place word =
     let p = Event.packed_proc word in
-    if p < Array.length w.limit then begin
-      let l = w.limit.(p) in
-      let l = if l = unseen then resolve w p else l in
+    if p < Array.length limit then begin
+      let l = cached w limit p in
       if l >= 0 then begin
-        (match w.place with
-        | Some pl when placing -> place_event pl p word l
-        | Some _ | None -> ());
-        match w.select with Some s -> Stream.reference s p | None -> ()
+        let offset = Event.packed_offset word and len = Event.packed_len word in
+        if len > 0 && offset + len <= l then begin
+          let base = Array.unsafe_get first p in
+          for c = base + chunk ~size ~shift offset
+              to base + chunk ~size ~shift (offset + len - 1) do
+            Stream.reference place c
+          done
+        end
+        else fallback_place w p word place;
+        Stream.reference select p
       end
     end
-    else unknown w ~placing p word
+    else if w.keep p then begin
+      fallback_place w p word place;
+      Stream.reference select p
+    end
+
+  (* The select stream alone, from event [from] to the end. *)
+  let select w s trace ~from =
+    let limit = w.limit in
+    for i = from to Trace.length trace - 1 do
+      let p = Event.packed_proc (Trace.unsafe_packed trace i) in
+      if p < Array.length limit then begin
+        if cached w limit p >= 0 then Stream.reference s p
+      end
+      else if w.keep p then Stream.reference s p
+    done
 
   (* If an event fails, a walk of the select side alone would still
      have read the whole trace and flushed its TRG's metrics: the select
      side reads the rest, from the failing event, and flushes before the
      failure goes on.  When the select side is what failed, it fails
      again at that event and flushes nothing. *)
-  let run w trace =
+  let both w ~select:s ~place trace =
+    let limit = w.limit and first = w.first and size = w.size and shift = w.shift in
     let n = Trace.length trace in
     let i = ref 0 in
     match
       while !i < n do
-        step w ~placing:true (Trace.packed trace !i);
+        both_event w ~limit ~first ~size ~shift ~select:s ~place
+          (Trace.unsafe_packed trace !i);
         incr i
       done
     with
     | () -> ()
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      (match (w.place, w.select) with
-      | Some _, Some s ->
-        for j = !i to n - 1 do
-          step w ~placing:false (Trace.packed trace j)
-        done;
-        ignore (flush s : built)
-      | _ -> ());
+      select w s trace ~from:!i;
+      ignore (flush s : built);
       Printexc.raise_with_backtrace e bt
+
+  (* A chunk callback. *)
+  let each w trace f =
+    let limit = w.limit and first = w.first and size = w.size and shift = w.shift in
+    for i = 0 to Trace.length trace - 1 do
+      let word = Trace.unsafe_packed trace i in
+      let p = Event.packed_proc word in
+      if p < Array.length limit then begin
+        let l = cached w limit p in
+        if l >= 0 then begin
+          let offset = Event.packed_offset word and len = Event.packed_len word in
+          if len > 0 && offset + len <= l then begin
+            let base = Array.unsafe_get first p in
+            for c = base + chunk ~size ~shift offset
+                to base + chunk ~size ~shift (offset + len - 1) do
+              f c
+            done
+          end
+          else fallback w p word f
+        end
+      end
+      else if w.keep p then fallback w p word f
+    done
 end
 
 let build ?keep ~capacity_bytes program chunks trace =
   let select = select_stream ~capacity_bytes program
   and place = place_stream ~capacity_bytes chunks in
-  Walk.run
-    (Walk.create ?keep ~n_procs:(Chunk.n_procs chunks) ~select
-       ~place:(chunks, Walk.To_stream place) ())
-    trace;
+  Walk.both
+    (Walk.create ?keep ~n_procs:(Chunk.n_procs chunks) (Some chunks))
+    ~select ~place trace;
   let select = flush select in
   (select, flush place)
 
 let build_select ?keep ~capacity_bytes program trace =
   let select = select_stream ~capacity_bytes program in
-  Walk.run (Walk.create ?keep ~n_procs:(Program.n_procs program) ~select ()) trace;
+  Walk.select (Walk.create ?keep ~n_procs:(Program.n_procs program) None) select trace
+    ~from:0;
   flush select
 
-let build_place ?keep ~capacity_bytes chunks trace =
-  let place = place_stream ~capacity_bytes chunks in
-  Walk.run
-    (Walk.create ?keep ~n_procs:(Chunk.n_procs chunks)
-       ~place:(chunks, Walk.To_stream place) ())
-    trace;
-  flush place
-
 let iter_chunks ?keep chunks trace f =
-  Walk.run
-    (Walk.create ?keep ~n_procs:(Chunk.n_procs chunks) ~place:(chunks, Walk.To_each f) ())
-    trace
+  Walk.each (Walk.create ?keep ~n_procs:(Chunk.n_procs chunks) (Some chunks)) trace f
 
 module Both = struct
   type t = { walk : Walk.t; select : Stream.t; place : Stream.t }
 
   let create ~capacity_bytes program chunks =
-    let select = select_stream ~capacity_bytes program
-    and place = place_stream ~capacity_bytes chunks in
     {
-      walk =
-        Walk.create ~n_procs:(Chunk.n_procs chunks) ~select
-          ~place:(chunks, Walk.To_stream place) ();
-      select;
-      place;
+      walk = Walk.create ~n_procs:(Chunk.n_procs chunks) (Some chunks);
+      select = select_stream ~capacity_bytes program;
+      place = place_stream ~capacity_bytes chunks;
     }
 
-  let event t word = Walk.step t.walk ~placing:true word
+  let event t word =
+    let w = t.walk in
+    Walk.both_event w ~limit:w.Walk.limit ~first:w.Walk.first ~size:w.Walk.size
+      ~shift:w.Walk.shift ~select:t.select ~place:t.place word
 
   let finish t = (Stream.finish t.select, Stream.finish t.place)
 end

@@ -38,18 +38,21 @@ val build :
   Trg_trace.Trace.t ->
   built * built
 (** [build ?keep ~capacity_bytes program chunks trace] is
-    [(build_select ?keep ~capacity_bytes program trace,
-      build_place ?keep ~capacity_bytes chunks trace)] from one walk over
-    the trace: each event goes to the chunk-granularity stream and then
-    to the procedure-granularity one.  Each stream has its own Q and
-    count table, so the interleaving changes neither TRG, and each
-    stream's Q counts its edges itself ({!Qset.count}).  The [trg/*]
-    metrics are flushed once per TRG.  [chunks] must be [program]'s.
+    [(select, place)], TRG_select and TRG_place of [trace], from one
+    walk over it.  [select] is {!build_select}[ ?keep ~capacity_bytes
+    program trace].  [place] is the chunk-granularity TRG over global
+    chunk ids, built from the stream of {!iter_chunks}[ ?keep chunks
+    trace]: [keep] filters on the {e owning procedure} of each chunk.
+    Each event goes to the chunk stream and then to the procedure
+    stream.  Each stream has its own Q and count table, so the
+    interleaving changes neither TRG, and each stream's Q counts its
+    edges itself ({!Qset.count}).  The [trg/*] metrics are flushed once
+    per TRG, select first.  [chunks] must be [program]'s.
 
-    It fails as the two builders would, in that order: when an event
-    fails the place stream, the select stream still reads the rest of
-    the trace and flushes its metrics, and then the place stream's
-    exception is raised, unless the select stream raised its own. *)
+    When an event fails the place stream (see {!iter_chunks}), the
+    select stream still reads the rest of the trace and flushes its
+    metrics, and then the place stream's exception is raised, unless
+    the select stream raised its own. *)
 
 val build_select :
   ?keep:(int -> bool) ->
@@ -62,16 +65,6 @@ val build_select :
     default keeps all.  [keep] is called once per procedure, at its
     first event, so it must be pure. *)
 
-val build_place :
-  ?keep:(int -> bool) ->
-  capacity_bytes:int ->
-  Trg_program.Chunk.t ->
-  Trg_trace.Trace.t ->
-  built
-(** Chunk-granularity TRG over global chunk ids, fed the stream of
-    {!iter_chunks}.  [keep] filters on the {e owning procedure} of each
-    chunk. *)
-
 val iter_chunks :
   ?keep:(int -> bool) ->
   Trg_program.Chunk.t ->
@@ -81,8 +74,7 @@ val iter_chunks :
 (** [iter_chunks ?keep chunks trace f] calls [f] on the id of every chunk
     each event touches, in trace order, skipping events whose procedure
     fails [keep] (by default none is skipped).  The chunk-granularity id
-    stream every chunk profile is built from, walked by the same loop as
-    the TRG builders.  It reads packed words and calls [keep] once per
+    stream every chunk profile is built from, TRG_place's among them.  It reads packed words and calls [keep] once per
     procedure, at its first event, so [keep] must be pure.  An event
     outside its procedure, or of a procedure the program lacks, raises
     what {!Trg_program.Chunk.iter_range} raises. *)

@@ -57,7 +57,9 @@ let packed_offset w = (w lsr 23) land 0xFFFFFF
 
 let packed_proc w = (w lsr 47) land 0x3FFF
 
-let packed_kind w = kind_of_int ((w lsr 61) land 3)
+let packed_kind_bits w = (w lsr 61) land 3
+
+let packed_kind w = kind_of_int (packed_kind_bits w)
 
 (* [unpack]'s masks keep proc and offset in range, so a word can fail
    [make (unpack w)] only on its kind bits or its length.  The kinds are

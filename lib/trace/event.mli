@@ -49,6 +49,10 @@ val packed_kind : int -> kind
     Raises [Invalid_argument] on kind bits 3, which no word of a
     {!Trace.t} has. *)
 
+val packed_kind_bits : int -> int
+(** [kind_to_int (packed_kind w)], without the check: 3 on kind bits 3,
+    which no word of a {!Trace.t} has. *)
+
 val check_packed : int -> unit
 (** Raises [Invalid_argument] exactly when [make] would reject the fields
     of [unpack w], or [unpack] itself would, and with the same message;

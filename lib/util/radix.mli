@@ -2,8 +2,9 @@
 
     Orders indices by integer key in a few linear passes over flat
     [int] arrays, with no comparison closure.  Layout validation sorts
-    procedures by address with it, and the linearizer its gap fillers by
-    size and id. *)
+    procedures by address with it, the linearizer its gap fillers by
+    size and id, and popularity selection the procedures by reference
+    count. *)
 
 val order : int array -> int array
 (** [order keys] is the permutation of [0 .. Array.length keys - 1] that

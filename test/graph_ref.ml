@@ -11,10 +11,11 @@ type t = {
   weights : (int, float) Hashtbl.t; (* packed canonical (u, v) -> weight *)
   adj : (int, int list ref) Hashtbl.t; (* node -> neighbor ids *)
   mutable seen : int list; (* keys, newest first *)
+  mutable met : int list; (* node ids, newest first *)
 }
 
 let create ?(hint = 256) () =
-  { weights = Hashtbl.create hint; adj = Hashtbl.create hint; seen = [] }
+  { weights = Hashtbl.create hint; adj = Hashtbl.create hint; seen = []; met = [] }
 
 let check id =
   if id < 0 || id >= max_id then
@@ -25,7 +26,9 @@ let key u v = if u < v then (u lsl 24) lor v else (v lsl 24) lor u
 let attach t u v =
   match Hashtbl.find_opt t.adj u with
   | Some l -> l := v :: !l
-  | None -> Hashtbl.add t.adj u (ref [ v ])
+  | None ->
+    t.met <- u :: t.met;
+    Hashtbl.add t.adj u (ref [ v ])
 
 let add_new t k u v w =
   Hashtbl.add t.weights k w;
@@ -65,6 +68,10 @@ let degree t u = List.length (neighbors t u)
 let nodes t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.adj [])
 
 let n_nodes t = Hashtbl.length t.adj
+
+(* The ids in the order their first edges met them, each edge's ends in
+   the order of its first add: the order [Graph.node_id] numbers. *)
+let node_order t = List.rev t.met
 
 let n_edges t = Hashtbl.length t.weights
 

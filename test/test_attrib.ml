@@ -36,7 +36,7 @@ let check_invariants label program layout config trace =
     (a.Attrib.compulsory + a.Attrib.capacity + a.Attrib.conflict);
   Alcotest.(check int)
     (label ^ ": compulsory = distinct lines")
-    (Sim.distinct_lines program layout config trace)
+    (Sim_ref.distinct_lines program layout config trace)
     a.Attrib.compulsory;
   Alcotest.(check int)
     (label ^ ": distinct_lines field")

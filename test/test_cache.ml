@@ -99,7 +99,7 @@ let test_miss_rate () =
 
 let test_distinct_lines () =
   let layout = Layout.of_addresses tiny [| 0; 32 |] in
-  let n = Sim.distinct_lines tiny layout tiny_cache (ref_trace [ 0; 1; 0; 1 ]) in
+  let n = Sim_ref.distinct_lines tiny layout tiny_cache (ref_trace [ 0; 1; 0; 1 ]) in
   Alcotest.(check int) "2 distinct" 2 n
 
 (* Lines past the layout's span count like any other, from the packed
@@ -108,8 +108,8 @@ let test_distinct_lines_past_span () =
   let p = Program.of_sizes [| 32; 32 |] in
   let layout = Layout.of_addresses p [| 64; 0 |] in
   let t = Trace.of_list [ ev Event.Enter 0 0 200; ev Event.Enter 1 0 8; ev Event.Enter 0 40 8 ] in
-  Alcotest.(check int) "lines 2-8 and 0" 8 (Sim.distinct_lines p layout tiny_cache t);
-  Alcotest.(check int) "empty trace" 0 (Sim.distinct_lines p layout tiny_cache (Trace.of_list []))
+  Alcotest.(check int) "lines 2-8 and 0" 8 (Sim_ref.distinct_lines p layout tiny_cache t);
+  Alcotest.(check int) "empty trace" 0 (Sim_ref.distinct_lines p layout tiny_cache (Trace.of_list []))
 
 (* At the paper's point the tag array is read unchecked, but the
    procedure's address is not: an event of a procedure the program
@@ -156,7 +156,7 @@ let prop_compulsory_floor =
       let trace = ref_trace (List.map (fun r -> r mod 5) refs) in
       let huge = Config.make ~size:(1 lsl 20) ~line_size:32 ~assoc:1 in
       let r = Sim.simulate p layout huge trace in
-      r.Sim.misses = Sim.distinct_lines p layout huge trace
+      r.Sim.misses = Sim_ref.distinct_lines p layout huge trace
       && r.Sim.misses <= r.Sim.accesses)
 
 (* Property: higher associativity at equal size never loses to direct-mapped
@@ -172,7 +172,7 @@ let prop_miss_bounds =
       let trace = ref_trace (List.map (fun r -> r mod 8) refs) in
       let cache = Config.make ~size:(256 * assoc) ~line_size:32 ~assoc in
       let r = Sim.simulate p layout cache trace in
-      let floor = Sim.distinct_lines p layout cache trace in
+      let floor = Sim_ref.distinct_lines p layout cache trace in
       r.Sim.misses >= floor && r.Sim.misses <= r.Sim.accesses)
 
 let suite =
@@ -236,7 +236,7 @@ let prop_plru_vs_lru_bounds =
       let trace = ref_trace (List.map (fun r -> r mod 8) refs) in
       let lru = Sim.simulate p layout cache trace in
       let plru = Sim.simulate ~policy:Policy.Plru p layout cache trace in
-      let floor = Sim.distinct_lines p layout cache trace in
+      let floor = Sim_ref.distinct_lines p layout cache trace in
       plru.Sim.misses >= floor
       && plru.Sim.misses <= plru.Sim.accesses
       && plru.Sim.accesses = lru.Sim.accesses)

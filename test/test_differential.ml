@@ -143,14 +143,17 @@ let reference_trg ~capacity ~size_of ids =
   (r.g, r.stats)
 
 (* Everything a consumer can observe of a graph, including the orders the
-   interface promises. *)
+   interface promises.  The node numbering follows each edge's first
+   orientation, so it shows an edge oriented other than as first
+   counted. *)
 let graph_view g =
   let unordered = ref [] in
   Graph.iter_edges_unordered (fun u v w -> unordered := (u, v, w) :: !unordered) g;
   ( Graph.edges g,
     Graph.nodes g,
     List.map (fun u -> (u, Graph.neighbors g u)) (Graph.nodes g),
-    List.rev !unordered )
+    List.rev !unordered,
+    List.init (Graph.n_nodes g) (Graph.node_id g) )
 
 let ref_view g =
   let unordered = ref [] in
@@ -158,7 +161,8 @@ let ref_view g =
   ( Graph_ref.edges g,
     Graph_ref.nodes g,
     List.map (fun u -> (u, Graph_ref.neighbors g u)) (Graph_ref.nodes g),
-    List.rev !unordered )
+    List.rev !unordered,
+    Graph_ref.node_order g )
 
 let prop_trg_stream_matches_reference =
   QCheck.Test.make ~name:"Trg.build_stream matches per-increment reference"
@@ -335,6 +339,20 @@ let gen_walk_case =
     in
     return (sizes, chunk_size, capacity, kept, events))
 
+(* The select walk alone, as [Trg.build_select] makes it: the first
+   half of [reference_two_walks]. *)
+let reference_select_walk ~keep ~capacity program trace =
+  let before = Metrics.gauge_value trg_qmax in
+  match
+    reference_stream ~capacity ~size_of:(Program.size program) (fun emit ->
+        Trace.iter (fun (e : Event.t) -> if keep e.proc then emit e.proc) trace)
+  with
+  | r ->
+    ( Ok (ref_view r.g, r.stats),
+      [ 1; r.refs; r.incrs; r.stats.Qset.steps ],
+      Float.max before (float_of_int r.stats.Qset.max_entries) )
+  | exception Invalid_argument m -> (Error m, [ 0; 0; 0; 0 ], before)
+
 let prop_one_walk_matches_two_walks =
   QCheck.Test.make ~name:"Trg.build's one walk matches two reference walks"
     ~count:(Soak.scaled 150)
@@ -362,7 +380,92 @@ let prop_one_walk_matches_two_walks =
               graph_view place.Trg.graph,
               place.Trg.qstats ))
       in
-      got = expected)
+      let expected_select = reference_select_walk ~keep ~capacity program trace in
+      let got_select =
+        trg_work (fun () ->
+            let select = Trg.build_select ~keep ~capacity_bytes:capacity program trace in
+            (graph_view select.Trg.graph, select.Trg.qstats))
+      in
+      got = expected && got_select = expected_select)
+
+(* --- Tstats.compute vs a per-event reference ------------------------------ *)
+
+(* [Tstats.compute] derives the enter and transition counts from the
+   kind bits.  The reference matches on each event's kind, read through
+   [Trace.iter].  Every field must agree, and a procedure past
+   [n_procs] must raise in both. *)
+let reference_tstats ~n_procs trace =
+  let enter = Array.make n_procs 0 and refs = Array.make n_procs 0 in
+  let transitions = ref 0 and bytes = ref 0 and n = ref 0 in
+  Trace.iter
+    (fun (e : Event.t) ->
+      if e.proc >= n_procs then
+        invalid_arg (Printf.sprintf "Tstats.compute: proc %d out of range" e.proc);
+      incr n;
+      refs.(e.proc) <- refs.(e.proc) + 1;
+      bytes := !bytes + e.len;
+      match e.kind with
+      | Event.Enter ->
+        enter.(e.proc) <- enter.(e.proc) + 1;
+        incr transitions
+      | Event.Resume -> incr transitions
+      | Event.Run -> ())
+    trace;
+  ( !n,
+    !transitions,
+    Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 refs,
+    enter,
+    refs,
+    !bytes )
+
+let prop_tstats_matches_reference =
+  QCheck.Test.make ~name:"Tstats.compute matches per-event reference" ~count:(Soak.scaled 300)
+    (QCheck.make
+       QCheck.Gen.(
+         let* n_procs = int_range 1 40 in
+         let event proc =
+           let* kind = oneofl [ Event.Enter; Event.Resume; Event.Run ] in
+           let* offset = int_bound 5000 in
+           let* len = int_range 1 3000 in
+           return (kind, proc, offset, len)
+         in
+         let* events = list_size (int_range 0 400) (int_bound (n_procs - 1) >>= event) in
+         (* One time in four, an event of a procedure past [n_procs]. *)
+         let* fault =
+           frequency
+             [
+               (3, return []);
+               (1, int_range n_procs (n_procs + 3) >>= event >|= fun e -> [ e ]);
+             ]
+         in
+         let* at = int_bound (List.length events) in
+         return
+           ( n_procs,
+             List.filteri (fun i _ -> i < at) events
+             @ fault
+             @ List.filteri (fun i _ -> i >= at) events ))
+       ~print:(fun (n_procs, events) ->
+         Printf.sprintf "n_procs %d, events %s" n_procs
+           (QCheck.Print.(list (quad (fun k -> String.make 1 (Event.kind_to_char k)) int int int))
+              events)))
+    (fun (n_procs, events) ->
+      let trace =
+        Trace.of_list
+          (List.map
+             (fun (kind, proc, offset, len) -> Event.make ~kind ~proc ~offset ~len)
+             events)
+      in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      run (fun () ->
+          let t = Trg_trace.Tstats.compute ~n_procs trace in
+          Trg_trace.Tstats.
+            ( t.n_events,
+              t.n_transitions,
+              t.n_procs_referenced,
+              t.enter_counts,
+              t.ref_counts,
+              t.bytes_executed ))
+      = run (fun () -> reference_tstats ~n_procs trace))
 
 (* --- Merge driver vs a rescan-everything reference ----------------------- *)
 
@@ -1369,6 +1472,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trg_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_iter_chunks_matches_reference;
     QCheck_alcotest.to_alcotest prop_one_walk_matches_two_walks;
+    QCheck_alcotest.to_alcotest prop_tstats_matches_reference;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_reference;
     QCheck_alcotest.to_alcotest prop_merge_driver_matches_hashtbl_reference;
     QCheck_alcotest.to_alcotest prop_lru_matches_reference;

@@ -1,3 +1,4 @@
+module Program = Trg_program.Program
 module Graph = Trg_profile.Graph
 module Wcg = Trg_profile.Wcg
 module Trg = Trg_profile.Trg
@@ -116,7 +117,7 @@ let test_trg_place_chunk_granularity () =
     Trace.of_list
       [ ev 0 0 64; ev 0 256 64; ev 0 0 64; ev 0 256 64; ev 0 0 64 ]
   in
-  let b = Trg.build_place ~capacity_bytes:16384 chunks trace in
+  let _, b = Trg.build ~capacity_bytes:16384 program chunks trace in
   Alcotest.(check bool) "chunk edge inside proc" true (Graph.weight b.Trg.graph 0 1 > 0.)
 
 (* --- Pair database (Section 6) --------------------------------------- *)
@@ -299,6 +300,64 @@ let test_profile_allocation_bound () =
           shape.Shape.name words budget edges)
     (Bench.small :: Bench.all)
 
+(* A TRG build allocates per distinct edge and per Q slot, not per
+   event: on a periodic trace, 200 periods allocate exactly what 100 do
+   (the same edges, Q arrays and count tables, only larger counts). *)
+let test_trg_build_allocation () =
+  let n_procs = 48 in
+  let program = Program.of_sizes (Array.init n_procs (fun p -> 64 + (97 * p mod 700))) in
+  let chunks = Trg_program.Chunk.make ~chunk_size:256 program in
+  let period = 997 in
+  let trace periods =
+    let b = Trace.Builder.create ~capacity:(periods * period) () in
+    for _ = 1 to periods do
+      for i = 0 to period - 1 do
+        let proc = i * 7919 mod n_procs in
+        let size = Program.size program proc in
+        let offset = i * 31 mod size in
+        Trace.Builder.add b
+          (Event.make ~kind:Event.Run ~proc ~offset ~len:(1 + (i * 13 mod (size - offset))))
+      done
+    done;
+    Trace.Builder.build b
+  in
+  let words t =
+    let a0 = Trg_eval.Perfrun.allocated_words () in
+    ignore (Sys.opaque_identity (Trg.build ~capacity_bytes:4096 program chunks t));
+    Trg_eval.Perfrun.allocated_words () -. a0
+  in
+  let small = trace 100 and large = trace 200 in
+  ignore (words small);
+  Alcotest.(check (float 0.)) "words at 200 periods = words at 100" (words small) (words large)
+
+(* Popularity selection against the sort-based reference
+   ([Popularity_ref]): counts drawn from a narrow range so that ties are
+   common, with random [coverage], [min_refs] and [max_procs]. *)
+let prop_popularity_matches_reference =
+  QCheck.Test.make ~name:"Popularity.select matches the sorting reference"
+    ~count:(Soak.scaled 300)
+    (QCheck.make
+       QCheck.Gen.(
+         let* counts = array_size (int_range 0 80) (oneof [ int_bound 6; int_bound 1000 ]) in
+         let* coverage = oneof [ float_range 0. 1.; oneofl [ 0.; 0.5; 0.99; 1. ] ] in
+         let* min_refs = int_range (-1) 5 in
+         let* max_procs = opt (int_range (-1) 90) in
+         return (counts, coverage, min_refs, max_procs))
+       ~print:(fun (counts, coverage, min_refs, max_procs) ->
+         Printf.sprintf "coverage %h, min_refs %d, max_procs %s, counts %s" coverage min_refs
+           (match max_procs with Some m -> string_of_int m | None -> "none")
+           (QCheck.Print.(array int) counts)))
+    (fun (counts, coverage, min_refs, max_procs) ->
+      let n = Array.length counts in
+      let program = Program.of_sizes (Array.init n (fun p -> 1 + (p * 37 mod 500))) in
+      let stats = { (Tstats.compute ~n_procs:n (Trace.of_list [])) with Tstats.ref_counts = counts } in
+      let got = Popularity.select ~coverage ~min_refs ?max_procs program stats in
+      let ranked = Popularity_ref.select ~coverage ~min_refs ?max_procs counts in
+      got.Popularity.ranked = ranked
+      && got.Popularity.is_popular = Array.init n (fun p -> Array.mem p ranked)
+      && got.Popularity.popular_bytes
+         = Array.fold_left (fun acc p -> acc + Program.size program p) 0 ranked)
+
 let suite =
   [
     Alcotest.test_case "WCG counts calls+returns" `Quick test_wcg_counts_calls_and_returns;
@@ -330,4 +389,7 @@ let suite =
     Alcotest.test_case "perturb pair db" `Quick test_perturb_pair_db;
     QCheck_alcotest.to_alcotest prop_perturb_preserves_structure;
     Alcotest.test_case "Gbsc.profile allocation bound" `Quick test_profile_allocation_bound;
+    Alcotest.test_case "Trg.build allocates per edge, not per event" `Quick
+      test_trg_build_allocation;
+    QCheck_alcotest.to_alcotest prop_popularity_matches_reference;
   ]

@@ -92,7 +92,7 @@ let test_online_equals_offline_unfiltered () =
   Trace.iter (Online.observe profiler) trace;
   let snap = Online.finish profiler in
   let offline_select = Trg.build_select ~capacity_bytes:16384 w.Gen.program trace in
-  let offline_place = Trg.build_place ~capacity_bytes:16384 chunks trace in
+  let _, offline_place = Trg.build ~capacity_bytes:16384 w.Gen.program chunks trace in
   Alcotest.(check bool) "select graphs identical" true
     (Graph.edges snap.Online.select.Trg.graph = Graph.edges offline_select.Trg.graph);
   Alcotest.(check bool) "place graphs identical" true
